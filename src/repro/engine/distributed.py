@@ -67,7 +67,7 @@ from repro.resilience import (
     check_deadline,
 )
 from repro.tasks.base import Task, TaskContext
-from repro.tasks.groupby import GroupByTask
+from repro.tasks.groupby import GroupByTask, _out_field
 from repro.tasks.join import JoinTask
 from repro.tasks.misc import DistinctTask, LimitTask, SortTask, UnionTask
 from repro.tasks.topn import TopNTask
@@ -1100,11 +1100,7 @@ class DistributedExecutor:
             )
             merge_specs = []
             for spec in specs:
-                out_field = str(
-                    spec.get("out_field")
-                    or spec.get("apply_on")
-                    or spec["operator"]
-                )
+                out_field = _out_field(spec)
                 operator = str(spec["operator"]).lower()
                 merge_specs.append(
                     {

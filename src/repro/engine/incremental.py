@@ -54,6 +54,7 @@ from repro.tasks.groupby import (
     _AGGREGATE_FACTORIES,
     _explode,
     _is_builtin,
+    _out_field,
     _truthy,
 )
 from repro.tasks.map_ops import MapTask
@@ -190,10 +191,7 @@ class _GroupByState(_TaskState):
     def __init__(self, task: GroupByTask):
         super().__init__(task)
         self._specs = task._aggregate_specs()
-        self._out_fields = [
-            str(s.get("out_field") or s.get("apply_on") or s["operator"])
-            for s in self._specs
-        ]
+        self._out_fields = [_out_field(s) for s in self._specs]
         self._reset()
 
     def _reset(self) -> None:
@@ -213,7 +211,7 @@ class _GroupByState(_TaskState):
         task = self.task
         group_columns = task.group_columns
         rows.schema.require(group_columns, context=task.name)
-        rows = _explode(rows, group_columns)
+        rows = _explode(rows, group_columns, task.required_columns())
         self._input_schema = rows.schema
         group_cols = [rows.column(c) for c in group_columns]
         single = len(group_columns) == 1
@@ -226,21 +224,25 @@ class _GroupByState(_TaskState):
             for s in self._specs
         ]
         index = self._index
-        for i in range(rows.num_rows):
-            key = (
-                group_cols[0][i]
-                if single
-                else tuple(col[i] for col in group_cols)
-            )
-            at = index.get(key)
-            if at is None:
-                at = len(self._keys)
-                index[key] = at
-                self._keys.append(key)
-                for aggs, factory in zip(self._aggs, factories):
-                    aggs.append(factory())
-            for aggs, col in zip(self._aggs, value_cols):
-                aggs[at].add(col[i] if col is not None else None)
+        try:
+            for i in range(rows.num_rows):
+                key = (
+                    group_cols[0][i]
+                    if single
+                    else tuple(col[i] for col in group_cols)
+                )
+                at = index.get(key)
+                if at is None:
+                    at = len(self._keys)
+                    index[key] = at
+                    self._keys.append(key)
+                    for aggs, factory in zip(self._aggs, factories):
+                        aggs.append(factory())
+                for aggs, col in zip(self._aggs, value_cols):
+                    aggs[at].add(col[i] if col is not None else None)
+        except TypeError:
+            task.check_hashable(rows)  # names the column when that is why
+            raise
 
     def _emit(self, context: TaskContext) -> Table:
         task = self.task

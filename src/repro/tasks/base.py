@@ -77,12 +77,16 @@ class TaskContext:
         self._value_caches: dict[str, dict[Any, Any]] = {}
 
     def __getstate__(self) -> dict[str, Any]:
-        # Contexts cross into warm-pool workers by pickle; the lock is
-        # process-local and recreated on the other side.  Worker-side
+        # Contexts cross into warm-pool workers by pickle — once per
+        # unit per stage — so only configuration travels: the lock is
+        # process-local and recreated on the other side, and the per-run
+        # memos start empty there (a worker's additions never come back,
+        # so shipping the coordinator's would be pure cost).  Worker-side
         # counter/cache mutations stay in the worker — the same
         # semantics fork-inherited contexts already have.
         state = self.__dict__.copy()
         del state["_lock"]
+        state["_value_caches"] = {}
         return state
 
     def __setstate__(self, state: dict[str, Any]) -> None:
@@ -94,13 +98,14 @@ class TaskContext:
             self.counters[counter] = self.counters.get(counter, 0) + amount
 
     def value_cache(self, key: str) -> dict[Any, Any]:
-        """A per-run memo dict scoped to ``key`` (usually a task
-        fingerprint).
+        """A per-run memo dict scoped to ``key`` (usually derived from a
+        task fingerprint).
 
         Deterministic per-value operators use it to skip recomputing the
         same transformation — across partitions and across flows that
         apply the same task to the same feed.  The context dies with the
-        run, so there is nothing to invalidate.
+        run, so there is nothing to invalidate; memos never travel to
+        pool workers (see ``__getstate__``).
         """
         with self._lock:
             return self._value_caches.setdefault(key, {})

@@ -26,11 +26,12 @@ via :func:`register_aggregate` with a factory returning an object with
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Sequence
+from collections import Counter
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.data import Column, Schema, Table
 from repro.data.kernels import group_indices
-from repro.errors import TaskConfigError
+from repro.errors import TaskConfigError, TaskExecutionError
 from repro.tasks.base import Task, TaskContext
 
 
@@ -255,45 +256,49 @@ def aggregate_names() -> list[str]:
     return sorted(_AGGREGATE_FACTORIES)
 
 
-def _explode(table: Table, columns: Sequence[str]) -> Table:
+def _explode(
+    table: Table, columns: Sequence[str], keep: Iterable[str]
+) -> Table:
     """One row per combination of list-valued cells in ``columns``.
 
-    A row whose cells are lists in *several* of the explode columns
-    expands to their cartesian product — every column must come out
-    scalar, or the group keys built from them stay unhashable.  Output
-    is assembled column-at-a-time; no row dicts.
+    Only ``columns`` and ``keep`` survive — the group-by reads nothing
+    else.  Each list-holding column (found in one pass over its cell
+    types) is flattened in turn, in schema order, so a row with lists in
+    several columns expands to their cartesian product with the later
+    column varying fastest.  An empty list drops the row, a scalar or
+    ``None`` cell stays one row, a value repeated inside a list repeats.
+    The other columns follow through one repeat-index ``take``.
     """
-    explode_names = [
-        c
-        for c in dict.fromkeys(columns)
-        if any(isinstance(v, list) for v in table.column(c))
-    ]
-    if not explode_names:
-        return table
-    explode_set = set(explode_names)
-    names = table.schema.names
-    source = [table.column(n) for n in names]
-    out: list[list[Any]] = [[] for _ in names]
-    list_positions = [
-        j for j, n in enumerate(names) if n in explode_set
-    ]
-    for i in range(table.num_rows):
-        pools = []
-        for j in list_positions:
-            cell = source[j][i]
-            if isinstance(cell, list):
-                pools.append((j, cell))
-        if not pools:
-            for j, column in enumerate(source):
-                out[j].append(column[i])
+    explode = set(columns)
+    wanted = explode | set(keep)
+    exploded = table
+    for name in table.schema.names:
+        if name not in explode or table.encoded_column(name) is not None:
+            continue  # typed encodings never hold lists
+        cells = exploded.column(name)
+        kinds = set(map(type, cells))
+        if not any(issubclass(kind, list) for kind in kinds):
             continue
-        for combo in itertools.product(*(cells for _j, cells in pools)):
-            replacement = {
-                j: value for (j, _cells), value in zip(pools, combo)
-            }
-            for j, column in enumerate(source):
-                out[j].append(replacement.get(j, column[i]))
-    return Table(table.schema, dict(zip(names, out)))
+        if exploded is table:
+            exploded = table.select(
+                [n for n in table.schema.names if n in wanted]
+            )
+        pools = (
+            cells
+            if len(kinds) == 1
+            else [c if isinstance(c, list) else (c,) for c in cells]
+        )
+        index = list(
+            itertools.chain.from_iterable(
+                map(itertools.repeat, range(len(pools)), map(len, pools))
+            )
+        )
+        exploded = (
+            exploded.drop([name])
+            .take(index)
+            .with_column(name, itertools.chain.from_iterable(pools))
+        )
+    return exploded
 
 
 class GroupByTask(Task):
@@ -305,6 +310,11 @@ class GroupByTask(Task):
         if not self.config_list("groupby"):
             raise TaskConfigError(
                 f"groupby task {self.name!r} needs 'groupby' columns"
+            )
+        if len(set(self.group_columns)) != len(self.group_columns):
+            raise TaskConfigError(
+                f"groupby task {self.name!r}: duplicate 'groupby' column "
+                f"in {self.group_columns}"
             )
         for spec in self._aggregate_specs():
             operator = str(spec.get("operator", "")).lower()
@@ -345,43 +355,56 @@ class GroupByTask(Task):
         schema = input_schemas[0]
         schema.require(self.required_columns(), context=self.name)
         columns = [schema[c] for c in self.group_columns]
-        for spec in self._aggregate_specs():
-            out_field = str(
-                spec.get("out_field")
-                or spec.get("apply_on")
-                or spec["operator"]
-            )
-            columns.append(Column(out_field))
+        columns += [Column(_out_field(s)) for s in self._aggregate_specs()]
         return Schema(columns)
 
     def apply(self, inputs: Sequence[Table], context: TaskContext) -> Table:
         table = self._single(inputs)
         group_columns = self.group_columns
         table.schema.require(group_columns, context=self.name)
-        table = _explode(table, group_columns)
+        table = _explode(table, group_columns, self.required_columns())
         specs = self._aggregate_specs()
-        out_fields = []
-        for spec in specs:
-            out_fields.append(
-                str(
-                    spec.get("out_field")
-                    or spec.get("apply_on")
-                    or spec["operator"]
-                )
-            )
-        # Encoded key columns group by dictionary code (no hashing);
-        # plain columns keep the historical boxed loop.
-        keys, buckets = group_indices(
-            table._kernel_columns(group_columns)
-        )
-        data: dict[str, list[Any]] = {}
+        try:
+            keys, aggregated = self._aggregate(table, specs)
+        except TypeError:
+            self.check_hashable(table)
+            raise
+        data: dict[str, Sequence[Any]] = {}
         if len(group_columns) == 1:
-            data[group_columns[0]] = list(keys)
+            data[group_columns[0]] = keys
         else:
             for j, column in enumerate(group_columns):
                 data[column] = [key[j] for key in keys]
-        for spec, out_field in zip(specs, out_fields):
-            operator = str(spec["operator"]).lower()
+        out_fields = [_out_field(spec) for spec in specs]
+        data.update(zip(out_fields, aggregated))
+        schema = self.output_schema([table.schema])
+        result = Table(schema, {n: data[n] for n in schema.names})
+        if _truthy(self.config.get("orderby_aggregates")):
+            result = result.sorted_by([out_fields[0]], descending=[True])
+        context.bump(f"task.{self.name}.groups", len(keys))
+        return result
+
+    def _aggregate(
+        self, table: Table, specs: list[dict[str, Any]]
+    ) -> tuple[list[Any], list[list[Any]]]:
+        """``(keys, one result list per spec)`` in first-seen key order."""
+        group_columns = self.group_columns
+        operators = [str(spec["operator"]).lower() for spec in specs]
+        if set(operators) == {"count"} and _is_builtin("count"):
+            # Fig. 23's default and all of Appendix A: nothing but row
+            # counts, so count the keys in one C-speed pass (same dict
+            # key equality and first-seen order as group_indices)
+            # instead of building index buckets only to take their len.
+            key_columns = [table.column(c) for c in group_columns]
+            counts = Counter(
+                key_columns[0] if len(key_columns) == 1 else zip(*key_columns)
+            )
+            return list(counts), [list(counts.values())] * len(specs)
+        # Encoded key columns group by dictionary code (no hashing);
+        # plain columns keep the historical boxed loop.
+        keys, buckets = group_indices(table._kernel_columns(group_columns))
+        aggregated = []
+        for spec, operator in zip(specs, operators):
             col = (
                 table.column(str(spec["apply_on"]))
                 if "apply_on" in spec
@@ -391,11 +414,11 @@ class GroupByTask(Task):
             if bulk is not None and _is_builtin(operator):
                 if col is None:
                     # Bare count: no value column to gather.
-                    data[out_field] = [len(b) for b in buckets]
+                    aggregated.append([len(b) for b in buckets])
                 else:
-                    data[out_field] = [
-                        bulk([col[i] for i in b]) for b in buckets
-                    ]
+                    aggregated.append(
+                        [bulk([col[i] for i in b]) for b in buckets]
+                    )
             else:
                 factory = _AGGREGATE_FACTORIES[operator]
                 results = []
@@ -404,13 +427,35 @@ class GroupByTask(Task):
                     for i in bucket:
                         agg.add(col[i] if col is not None else None)
                     results.append(agg.result())
-                data[out_field] = results
-        schema = self.output_schema([table.schema])
-        result = Table(schema, {n: data[n] for n in schema.names})
-        if _truthy(self.config.get("orderby_aggregates")):
-            result = result.sorted_by([out_fields[0]], descending=[True])
-        context.bump(f"task.{self.name}.groups", len(keys))
-        return result
+                aggregated.append(results)
+        return keys, aggregated
+
+    def check_hashable(self, table: Table) -> None:
+        """Raise a structured error naming the first group-key or
+        ``count_distinct`` column that holds an unhashable cell (a list
+        nested inside a list survives the explode)."""
+        columns = self.group_columns + [
+            str(spec["apply_on"])
+            for spec in self._aggregate_specs()
+            if str(spec["operator"]).lower() == "count_distinct"
+        ]
+        for column in columns:
+            for value in table.column(column):
+                try:
+                    hash(value)
+                except TypeError:
+                    raise TaskExecutionError(
+                        f"groupby task {self.name!r}: column {column!r} "
+                        f"holds the unhashable value {value!r}; group keys "
+                        f"and count_distinct values must be scalars"
+                    ) from None
+
+
+def _out_field(spec: Mapping[str, Any]) -> str:
+    """The output column an aggregate spec writes."""
+    return str(
+        spec.get("out_field") or spec.get("apply_on") or spec["operator"]
+    )
 
 
 def _truthy(value: Any) -> bool:

@@ -27,6 +27,7 @@ import re
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.data import Column, Schema, Table
+from repro.data.encodings import DictColumn
 from repro.data.expressions import compile_expression
 from repro.errors import TaskConfigError, TaskExecutionError
 from repro.tasks.base import Task, TaskContext
@@ -106,14 +107,18 @@ def operator_names() -> list[str]:
 
 
 #: the feed-timestamp shape of the paper's workloads
-#: ('E MMM dd HH:mm:ss Z yyyy', e.g. ``Sat May 04 22:06:23 +0000 2013``)
+#: ('E MMM dd HH:mm:ss Z yyyy', e.g. ``Sat May 04 22:06:23 +0000 2013``).
+#: A strict subset of what ``strptime`` accepts for that pattern — ASCII
+#: only, seconds below 60, a UTC offset ``datetime`` can hold, a
+#: four-digit year ``strftime`` zero-pads — so anything unusual falls
+#: through to ``strptime`` itself and the two can never disagree.
 _FAST_DATE_IN = "%a %b %d %H:%M:%S %z %Y"
 _FAST_DATE_RE = re.compile(
     r"^(?:Mon|Tue|Wed|Thu|Fri|Sat|Sun) "
     r"(Jan|Feb|Mar|Apr|May|Jun|Jul|Aug|Sep|Oct|Nov|Dec) "
-    r"(\d{1,2}) (?:[01]\d|2[0-3]):[0-5]\d:(?:[0-5]\d|6[01]) "
-    r"[+-]\d{4} (\d{4})$",
-    re.IGNORECASE,
+    r"(\d{1,2}) (?:[01]\d|2[0-3]):[0-5]\d:[0-5]\d "
+    r"[+-](?:[01]\d|2[0-3])[0-5]\d ([1-9]\d{3})$",
+    re.IGNORECASE | re.ASCII,
 )
 _MONTH_NUMBERS = {
     abbr: index + 1
@@ -132,6 +137,9 @@ def _date_factory(config: Mapping[str, Any]) -> Callable[[Any, Any], Any]:
     # paper's flows use gets a regex kernel (validated against the real
     # calendar, so dirty rows still normalise exactly like strptime).
     fast = in_pattern == _FAST_DATE_IN and out_pattern == "%Y-%m-%d"
+    #: (month, day, year) as matched -> normalised day: a feed holds far
+    #: fewer days than timestamps, so validate and format once per day
+    days: dict[tuple[str, ...], str | None] = {}
 
     def convert(value: Any, _row: Mapping[str, Any]) -> Any:
         if value is None:
@@ -142,14 +150,16 @@ def _date_factory(config: Mapping[str, Any]) -> Callable[[Any, Any], Any]:
         if fast:
             match = _FAST_DATE_RE.match(text)
             if match:
-                month = _MONTH_NUMBERS[match.group(1).lower()]
-                day = int(match.group(2))
-                year = int(match.group(3))
-                try:
-                    _dt.date(year, month, day)
-                except ValueError:
-                    return None
-                return f"{year:04d}-{month:02d}-{day:02d}"
+                parts = match.groups()
+                if parts not in days:
+                    month = _MONTH_NUMBERS[parts[0].lower()]
+                    try:
+                        day = _dt.date(int(parts[2]), month, int(parts[1]))
+                    except ValueError:
+                        days[parts] = None
+                    else:
+                        days[parts] = day.isoformat()
+                return days[parts]
         parsed: _dt.datetime | None = None
         if in_pattern:
             try:
@@ -202,15 +212,17 @@ def _extract_factory(
     if not dict_name:
         raise TaskConfigError("extract operator needs a 'dict' file")
     mapping: dict[str, str] | None = None
+    phrases: list[tuple[str, str]] = []
 
     def extract(value: Any, _row: Mapping[str, Any], _ctx=context) -> Any:
-        nonlocal mapping
+        nonlocal mapping, phrases
         if mapping is None:
             if _ctx is None:
                 raise TaskExecutionError(
                     "extract operator needs a TaskContext for dictionaries"
                 )
             mapping = _ctx.dictionary(str(dict_name))
+            phrases = [kv for kv in mapping.items() if " " in kv[0]]
         if value is None:
             return None
         text = str(value).lower()
@@ -219,8 +231,8 @@ def _extract_factory(
             if canonical is not None:
                 return canonical
         # Multi-word surface forms ("super kings"): substring pass.
-        for surface, canonical in mapping.items():
-            if " " in surface and surface in text:
+        for surface, canonical in phrases:
+            if surface in text:
                 return canonical
         return None
 
@@ -435,18 +447,27 @@ class MapTask(Task):
         if transform and self._is_value_only():
             values = self._apply_columnar(table, transform, operator, context)
         else:
-            values = []
-            for row in table.rows():
-                source_value = row.get(transform) if transform else None
-                try:
-                    values.append(operator(source_value, row))
-                except Exception as exc:  # wrap user-operator failures
-                    raise TaskExecutionError(
-                        f"map task {self.name!r} failed on value "
-                        f"{source_value!r}: {exc}"
-                    ) from exc
+            values = [
+                self._call(
+                    operator, row.get(transform) if transform else None, row
+                )
+                for row in table.rows()
+            ]
         context.bump(f"task.{self.name}.rows", table.num_rows)
         return table.with_column(self.output_column, values)
+
+    def _call(
+        self,
+        operator: Callable[[Any, Mapping[str, Any]], Any],
+        value: Any,
+        row: Mapping[str, Any] = _EMPTY_ROW,
+    ) -> Any:
+        try:
+            return operator(value, row)
+        except Exception as exc:  # wrap user-operator failures
+            raise TaskExecutionError(
+                f"map task {self.name!r} failed on value {value!r}: {exc}"
+            ) from exc
 
     def _apply_columnar(
         self,
@@ -455,45 +476,49 @@ class MapTask(Task):
         operator: Callable[[Any, Mapping[str, Any]], Any],
         context: TaskContext,
     ) -> list[Any]:
-        """Value-only fast path: one pass over the transform column.
+        """Value-only fast path: the operator runs once per distinct value.
 
-        No row dicts are built, and results are memoized per distinct
-        input value in a context-scoped cache keyed by the task
-        fingerprint — the same tweet body or timestamp appearing in four
-        flows (or thousands of rows) is transformed once per run.  The
-        memo key carries the value's class so equal-but-distinct keys
-        (``1``/``True``/``1.0``) never alias; unhashable values bypass
-        the cache, and failures are raised (never cached) with the same
-        wrapping as the row path.
+        No row dicts are built.  A dictionary-encoded transform column is
+        evaluated per dictionary entry in use and gathered by code; a
+        boxed one per distinct ``(class, value)`` — the class keeps
+        equal-but-distinct cells (``1``/``True``/``1.0``) from aliasing.
+        Two context-scoped memos, both keyed by the task fingerprint,
+        carry results across the run: per value (partitions of one feed)
+        and per source column object (the same feed in several flows
+        yields the same output column).  Distinct values are visited in
+        first-seen row order, so the first failure raised (never cached,
+        wrapped as on the row path) is the row path's; a column holding
+        unhashable cells is computed row by row.
         """
-        cache = context.value_cache(self.fingerprint())
-        values: list[Any] = []
-        append = values.append
-        sentinel = _EMPTY_ROW
-        for source_value in table.column(transform):
-            try:
-                key = (source_value.__class__, source_value)
-                cached = cache.get(key, sentinel)
-            except TypeError:  # unhashable value: compute directly
-                try:
-                    append(operator(source_value, sentinel))
-                except Exception as exc:
-                    raise TaskExecutionError(
-                        f"map task {self.name!r} failed on value "
-                        f"{source_value!r}: {exc}"
-                    ) from exc
+        column = table.column(transform)
+        fingerprint = self.fingerprint()
+        # id -> (column, output): the entry pins the column, so its id
+        # cannot come back as another object's while the run lasts
+        shared = context.value_cache(fingerprint + "#column")
+        hit = shared.get(id(column))
+        if hit is not None:
+            return hit[1]
+        encoded = table.encoded_column(transform)
+        entries = None
+        if type(encoded) is DictColumn:
+            # rows reach their dictionary entry's memo key by code
+            row_keys: Sequence[Any] = encoded.codes
+            entries = [(v.__class__, v) for v in encoded.values + [None]]
+        else:
+            row_keys = list(zip(map(type, column), column))
+        try:
+            results = dict.fromkeys(row_keys)  # distinct, first seen first
+        except TypeError:  # unhashable cells: nothing to memoize on
+            return [self._call(operator, value) for value in column]
+        cache = context.value_cache(fingerprint)
+        for row_key in results:
+            key = row_key if entries is None else entries[row_key]
+            if key in cache:
+                results[row_key] = cache[key]
                 continue
-            if cached is not sentinel:
-                append(cached)
-                continue
-            try:
-                result = operator(source_value, sentinel)
-            except Exception as exc:
-                raise TaskExecutionError(
-                    f"map task {self.name!r} failed on value "
-                    f"{source_value!r}: {exc}"
-                ) from exc
+            results[row_key] = result = self._call(operator, key[1])
             if len(cache) < _VALUE_CACHE_LIMIT:
                 cache[key] = result
-            append(result)
+        values = list(map(results.__getitem__, row_keys))
+        shared[id(column)] = (column, values)
         return values

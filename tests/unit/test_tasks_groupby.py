@@ -3,7 +3,7 @@
 import pytest
 
 from repro.data import Schema, Table
-from repro.errors import TaskConfigError
+from repro.errors import TaskConfigError, TaskExecutionError
 from repro.tasks.base import TaskContext
 from repro.tasks.groupby import (
     Aggregate,
@@ -232,7 +232,72 @@ class TestListExplosion:
         }
 
 
+    def test_only_the_columns_the_groupby_reads_are_exploded(self):
+        """The word list of a tweet row fans out 1:n; copying the
+        tweet's other columns n times is work nobody reads."""
+        from repro.tasks.groupby import _explode
+
+        table = Table.from_rows(
+            Schema.of("body", "word", "n", "geo"),
+            [("b1", ["x", "y", "x"], 1, "g1"), ("b2", None, 2, "g2")],
+        )
+        out = _explode(table, ["word"], {"word", "n"})
+        assert out.schema.names == ["n", "word"]
+        assert out.column("word") == ["x", "y", "x", None]
+        assert out.column("n") == [1, 1, 1, 2]
+        # nothing to explode: the input comes back as it is
+        assert _explode(table, ["body"], {"body"}) is table
+
+
+class TestUnhashableCells:
+    """A cell no dict can key on names its task and column instead of
+    escaping as a bare ``TypeError: unhashable type: 'list'``."""
+
+    def test_nested_list_group_key(self):
+        with pytest.raises(TaskExecutionError, match=r"'g'.*'w'.*\['a'\]"):
+            run({"groupby": ["w"]}, [([["a"]],), (["b"],)], Schema.of("w"))
+
+    def test_nested_list_group_key_with_aggregates(self):
+        with pytest.raises(TaskExecutionError, match=r"'g'.*'w'"):
+            run(
+                {
+                    "groupby": ["k", "w"],
+                    "aggregates": [{"operator": "sum", "apply_on": "v"}],
+                },
+                [("a", [["x"]], 1)],
+                Schema.of("k", "w", "v"),
+            )
+
+    def test_count_distinct_over_list_values(self):
+        with pytest.raises(TaskExecutionError, match=r"'g'.*'tags'"):
+            run(
+                {
+                    "groupby": ["k"],
+                    "aggregates": [
+                        {"operator": "count_distinct", "apply_on": "tags"}
+                    ],
+                },
+                [("a", ["x"]), ("a", ["y"])],
+                Schema.of("k", "tags"),
+            )
+
+    def test_other_type_errors_are_not_relabelled(self):
+        with pytest.raises(TypeError, match="not supported"):
+            run(
+                {
+                    "groupby": ["k"],
+                    "aggregates": [{"operator": "max", "apply_on": "v"}],
+                },
+                [("a", 1), ("a", "x")],
+                Schema.of("k", "v"),
+            )
+
+
 class TestConfigValidation:
+    def test_duplicate_group_column_raises(self):
+        with pytest.raises(TaskConfigError, match="duplicate"):
+            GroupByTask("g", {"groupby": ["w", "w"]})
+
     def test_missing_groupby_raises(self):
         with pytest.raises(TaskConfigError, match="groupby"):
             GroupByTask("g", {})

@@ -92,6 +92,131 @@ class TestDateOperator:
         )
         assert out.column("date") == ["2013-05-02"]
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "Sat May \u0660\u0664 22:06:23 +0000 2013",  # non-ASCII day digits
+            "Sat May 04 22:06:60 +0000 2013",  # a leap second
+            "Sat May 04 22:06:23 +2400 2013",  # an offset datetime refuses
+            "Sat May 04 22:06:23 +0000 0999",  # strftime does not pad %Y
+        ],
+    )
+    def test_regex_kernel_never_disagrees_with_strptime(self, text):
+        """The fast kernel only fires for yyyy-MM-dd output; the same
+        task with another output format is the strptime path."""
+        slow = MapTask(
+            "d", {**self.make().config, "output_format": "dd/MM/yyyy"}
+        )
+        fast_out = run(self.make(), [(text,)], Schema.of("postedTime"))
+        slow_out = run(slow, [(text,)], Schema.of("postedTime"))
+        day = slow_out.column("date")[0]
+        if day is not None:
+            day = "-".join(reversed(day.split("/")))
+        assert fast_out.column("date") == [day]
+
+
+class TestRunMemos:
+    """Per-run memos make a re-applied map task free; they must stay in
+    the process that filled them."""
+
+    TASK = {
+        "operator": "date",
+        "transform": "t",
+        "input_format": "E MMM dd HH:mm:ss Z yyyy",
+        "output": "day",
+    }
+
+    def stamps(self, count):
+        return [
+            (f"Thu May 02 {i // 3600:02d}:{i // 60 % 60:02d}:{i % 60:02d}"
+             " +0000 2013",)
+            for i in range(count)
+        ]
+
+    def test_memos_are_not_pickled_with_the_context(self):
+        import pickle
+
+        context = TaskContext()
+        fresh = len(pickle.dumps(context))
+        out = run(
+            MapTask("d", self.TASK), self.stamps(2000), Schema.of("t"),
+            context,
+        )
+        assert out.column("day") == ["2013-05-02"] * 2000
+        context.counters.clear()
+        assert len(pickle.dumps(context)) == fresh
+        assert pickle.loads(pickle.dumps(context)).value_cache("x") == {}
+
+    def test_same_source_column_is_computed_once_per_run(self):
+        class Loud(str):
+            calls = 0
+
+            def lower(self):
+                Loud.calls += 1
+                return str.lower(self)
+
+        table = Table.from_rows(
+            Schema.of("a"), [(Loud(f"V{i % 50}"),) for i in range(100)]
+        )
+        task = MapTask(
+            "x", {"operator": "lower", "transform": "a", "output": "b"}
+        )
+        context = TaskContext()
+        first = task.apply([table], context)
+        second = task.apply([table], context)
+        assert Loud.calls == 50  # once per distinct value, once per run
+        assert first == second
+        assert first.column("b") == [f"v{i % 50}" for i in range(100)]
+        # the flows that share the result must not share the list
+        assert first.column("b") is not second.column("b")
+
+    def test_pool_run_matches_threads(self):
+        from repro.compiler.dag import build_dag
+        from repro.dsl import parse_flow_file
+        from repro.engine import DistributedExecutor, build_logical_plan
+        from repro.engine.scheduler import ProcessPool, fork_available
+        from repro.tasks.registry import default_task_registry
+
+        if not fork_available():
+            pytest.skip("requires os.fork")
+        flow = parse_flow_file(
+            "D:\n    raw: [t]\n"
+            "D.raw:\n    source: raw.csv\n"
+            "F:\n    D.out: D.raw | T.day | T.per_day\n"
+            "T:\n"
+            "    day:\n"
+            "        type: map\n"
+            "        operator: date\n"
+            "        transform: t\n"
+            "        input_format: 'E MMM dd HH:mm:ss Z yyyy'\n"
+            "        output: day\n"
+            "    per_day:\n"
+            "        type: groupby\n"
+            "        groupby: [day]\n"
+        )
+        tasks = default_task_registry().build_section(
+            {name: spec.config for name, spec in flow.tasks.items()}
+        )
+        plan = build_logical_plan(build_dag(flow), tasks)
+        table = Table.from_rows(Schema.of("t"), self.stamps(400))
+
+        def outcome(**options):
+            context = TaskContext()
+            # a first map in the coordinator fills memos; the units the
+            # pool pickles carry this context
+            tasks["day"].apply([table], context)
+            result = DistributedExecutor(
+                lambda name: table, num_partitions=3, parallelism=2,
+                **options,
+            ).run(plan, context)
+            return result.table("out").to_records()
+
+        with ProcessPool(workers=2) as pool:
+            pooled = outcome(executor="processes", pool=pool)
+            assert pool.stats.dispatch_fallbacks == 0
+        assert pooled == outcome(executor="threads")
+        assert pooled == [{"day": "2013-05-02", "count": 400}]
+
 
 class TestExtractOperator:
     def make_context(self):
