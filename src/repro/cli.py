@@ -350,7 +350,11 @@ def _cmd_refresh(args) -> int:
             f"{len(result.flows_incremental)} incremental / "
             f"{len(result.flows_full)} full / "
             f"{len(result.flows_skipped)} skipped flow(s); "
-            f"changed: {', '.join(result.endpoints_changed) or '-'}",
+            f"changed: {', '.join(result.endpoints_changed) or '-'}"
+            + "".join(
+                f"; {flow} fell back: {reason}"
+                for flow, reason in sorted(result.fallback_reasons.items())
+            ),
             file=sys.stderr,
         )
     if args.endpoint:

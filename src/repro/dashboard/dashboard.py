@@ -81,8 +81,11 @@ class RefreshReport:
     delta_rows: int = 0
     #: flows advanced through incremental view maintenance
     flows_incremental: list[str] = field(default_factory=list)
-    #: flows recomputed from scratch (unsupported operators, multi-input)
+    #: flows recomputed from scratch, and why each one was: one of
+    #: join_build_side_changed, outer_join, multi_input,
+    #: unsupported_task, upstream_recompute (empty on a "full" refresh)
     flows_full: list[str] = field(default_factory=list)
+    fallback_reasons: dict[str, str] = field(default_factory=dict)
     #: flows whose inputs were unchanged (no work at all)
     flows_skipped: list[str] = field(default_factory=list)
     #: endpoints whose tables changed (version bumped)
@@ -320,14 +323,15 @@ class Dashboard:
            sources via :meth:`DataObjectLoader.load_delta` cursors,
            inline/catalog tables via identity + row-count watermarks;
         2. flows walk in DAG order: a flow whose inputs are unchanged is
-           skipped outright; a single-input flow whose whole task chain
-           is incrementally maintainable (see
-           :mod:`repro.engine.incremental`) advances its
+           skipped outright; a flow whose whole task chain is
+           incrementally maintainable (single-input, or a join of two
+           inputs at its head; see :mod:`repro.engine.incremental`)
+           advances its
            :class:`~repro.engine.incremental.FlowDeltaState`; anything
-           else — multi-input, joins, UDFs, widget-sourced filters —
-           falls back to a full recompute through the real engine
-           (pruned to just those flows, so the fallback never spreads
-           wider than it must);
+           else — unions, UDFs, widget-sourced filters — falls back to
+           a full recompute through the real engine (pruned to just
+           those flows, so the fallback never spreads wider than it
+           must), and ``fallback_reasons`` says why;
         3. endpoints whose tables changed get a version bump, changed
            outputs republish, and widget cubes rebuild.
 
@@ -376,7 +380,7 @@ class Dashboard:
         from repro.engine.incremental import (
             Delta,
             FlowDeltaState,
-            flow_supports_delta,
+            fallback_reason,
         )
 
         context = self._task_context()
@@ -387,47 +391,53 @@ class Dashboard:
                 deltas[name] = self._source_delta(name)
                 if deltas[name].kind == "append":
                     report.delta_rows += deltas[name].rows.num_rows
+        reasons = report.fallback_reasons
         #: outputs needing the engine (incremental not possible)
         recompute: set[str] = set()
         for flow in self.compiled.dag.ordered_flows():
             output = flow.output
             input_deltas = [deltas.get(i) for i in flow.inputs]
+            tasks = [self.compiled.tasks[t] for t in flow.tasks]
             if any(i in recompute for i in flow.inputs):
                 # An upstream recompute means this flow's input delta is
                 # unknown until the engine runs; recompute it too.
-                recompute.add(output)
-                continue
-            if (
+                reason = "upstream_recompute"
+            elif (
                 all(d is not None and d.kind == "none" for d in input_deltas)
                 and output in self._materialized
             ):
                 deltas[output] = Delta("none")
                 report.flows_skipped.append(output)
                 continue
-            tasks = [self.compiled.tasks[t] for t in flow.tasks]
-            if len(flow.inputs) == 1 and flow_supports_delta(tasks):
-                state = self._flow_states.get(output)
-                if state is None:
-                    state = FlowDeltaState(tasks)
-                    self._flow_states[output] = state
-                    delta_in = Delta(
-                        "full", self._refresh_input(flow.inputs[0])
-                    )
-                else:
-                    delta_in = input_deltas[0]
-                    if delta_in is None:
-                        delta_in = Delta(
-                            "full", self._refresh_input(flow.inputs[0])
-                        )
-                table, delta_out = state.advance(delta_in, context)
-                self._materialized[output] = table
-                deltas[output] = delta_out
-                report.flows_incremental.append(output)
             else:
+                reason = fallback_reason(tasks, len(flow.inputs))
+            if reason is not None:
+                reasons[output] = reason
                 recompute.add(output)
+                # A bypassed state would resume from a stale base.
+                self._flow_states.pop(output, None)
+                continue
+            state = self._flow_states.get(output)
+            if state is None:
+                state = FlowDeltaState(tasks, flow.inputs)
+                self._flow_states[output] = state
+                input_deltas = [None] * len(flow.inputs)
+            table, deltas[output] = state.advance(
+                [
+                    delta or Delta("full", self._resolve_source(name))
+                    for delta, name in zip(input_deltas, flow.inputs)
+                ],
+                context,
+                lambda: [self._resolve_source(i) for i in flow.inputs],
+            )
+            self._materialized[output] = table
+            if state.fallback is None:
+                report.flows_incremental.append(output)
+            else:  # the join re-primed: full cost, though in place
+                reasons[output] = state.fallback
         if recompute:
             self._refresh_recompute(sorted(recompute), context)
-            report.flows_full = sorted(recompute)
+        report.flows_full = sorted(reasons)
         changed = {
             name
             for name, delta in deltas.items()
@@ -461,20 +471,19 @@ class Dashboard:
             self._delta_states[name] = load.state
             if load.mode == "none":
                 return Delta("none")
-            if load.mode == "append":
-                prior = self._source_tables.get(name)
-                self._source_tables[name] = (
-                    load.table
-                    if prior is None
-                    else Table.concat_all([prior, load.table])
-                )
-                if prior is None:
-                    # No base to append to (state handed in from a
-                    # previous process?): treat as a first full load.
-                    return Delta("full", self._source_tables[name])
-                return Delta("append", load.table)
-            self._source_tables[name] = load.table
-            return Delta("full", load.table)
+            prior = self._source_tables.get(name)
+            if load.mode == "append" and prior is not None:
+                load_delta = Delta("append", load.table)
+                table = Table.concat_all([prior, load.table])
+            else:
+                # "full" — or an append with no base to append to (state
+                # handed in from a previous process?): a first full load.
+                load_delta = Delta("full", load.table)
+                table = load.table
+            # The run's own copy of the source is stale from here on: one
+            # current table serves flows, endpoints and widgets alike.
+            self._source_tables[name] = self._materialized[name] = table
+            return load_delta
         if self.catalog is not None and name in self.catalog:
             return self._watermark_delta(name, self.catalog.resolve(name))
         # Unresolvable here; flows using it recompute via the engine.
@@ -502,19 +511,6 @@ class Dashboard:
                 table.take(list(range(prev_rows, table.num_rows))),
             )
         return Delta("full", table)
-
-    def _refresh_input(self, name: str) -> Table:
-        """A full current input table (for state bootstraps).
-
-        Delta-tracked source tables win over ``_materialized`` — the
-        materialized copy is from the last full run, while
-        ``_source_tables`` was just advanced by ``_source_delta``.
-        """
-        if name in self._source_tables:
-            return self._source_tables[name]
-        if name in self._materialized:
-            return self._materialized[name]
-        return self._resolve_source(name)
 
     def _refresh_recompute(
         self, outputs: list[str], context: TaskContext
@@ -557,24 +553,13 @@ class Dashboard:
         )
         dag = build_dag(pruned, external=external)
         plan = build_logical_plan(dag, self.compiled.tasks)
-        # Serve delta-maintained source tables to the engine without a
-        # re-fetch.  The stale materialized copies from the last full
-        # run must not shadow them (_resolve_source prefers
-        # _materialized), so they are dropped first; the engine's
-        # result tables repopulate them.
-        self._prefetched = dict(self._source_tables)
-        for source in self._source_tables:
-            self._materialized.pop(source, None)
-        try:
-            obs = self.observability
-            result = LocalExecutor(
-                self._resolve_source,
-                tracer=obs.tracer,
-                metrics=obs.metrics,
-            ).run(plan, context)
-            self._materialized.update(result.tables)
-        finally:
-            self._prefetched = {}
+        # Sources resolve to their delta-maintained tables (see
+        # _source_delta): nothing is fetched again.
+        obs = self.observability
+        result = LocalExecutor(
+            self._resolve_source, tracer=obs.tracer, metrics=obs.metrics
+        ).run(plan, context)
+        self._materialized.update(result.tables)
 
     # ------------------------------------------------------------------
     # incremental recomputation (§4.5.3 fast feedback, §6 optimization)

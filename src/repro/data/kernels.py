@@ -29,7 +29,9 @@ Contents:
 * :func:`top_n_indices` — heap-based fused ``orderby``+``limit``;
 * :func:`group_indices` — single-pass hash group-by partitioning;
 * :func:`distinct_indices` — first row per distinct key (backs
-  ``Table.distinct``).
+  ``Table.distinct``);
+* :func:`repeat_indices` — the repeat-index vector of a flattening
+  (the group-by explode, the join probe).
 
 Kernels additionally dispatch on the typed encodings of
 :mod:`repro.data.encodings` when a key column (or the predicate's
@@ -43,6 +45,7 @@ boxed twin (``tests/property/test_prop_encodings.py``).
 from __future__ import annotations
 
 import heapq
+import itertools
 import operator
 from typing import Any, Callable, Mapping, Sequence
 
@@ -612,6 +615,17 @@ def group_indices(
             buckets.append(bucket)
         bucket.append(i)
     return keys, buckets
+
+
+def repeat_indices(pools: Sequence[Sequence[Any]]) -> list[int]:
+    """Row ``i`` once per element of ``pools[i]``, in row order — the
+    index vector that lets the other columns follow a flattening of
+    ``pools`` (an explode, a join probe) through one ``Table.take``."""
+    return list(
+        itertools.chain.from_iterable(
+            map(itertools.repeat, range(len(pools)), map(len, pools))
+        )
+    )
 
 
 def distinct_indices(

@@ -345,30 +345,54 @@ class Table:
         indices = (
             indices if isinstance(indices, (list, range)) else list(indices)
         )
-        length = len(indices) if self._schema.names else 0
-        enc_src = self._enc if length else None
-        if not enc_src:
-            data = {
-                name: [values[i] for i in indices]
-                for name, values in self._data.items()
-            }
-            return Table._wrap(self._schema, data, length)
-        # Encoded columns drive their own gather (a dictionary column
-        # gathers codes once and derives the strings from its tiny
-        # unique table, instead of a second random-access pass).
-        data = {}
-        enc = {}
-        for name, values in self._data.items():
-            column = enc_src.get(name)
-            if column is None:
+        return Table.from_gathers(
+            self._schema,
+            [(self, name, indices, False) for name in self._schema.names],
+        )
+
+    @classmethod
+    def from_gathers(
+        cls, schema: Schema, columns: Sequence[Any]
+    ) -> "Table":
+        """Assemble a table column by column, in ``schema`` order.
+
+        Each entry of ``columns`` is a freshly built list (adopted) or a
+        gather ``(table, column, indices, nullable)``: that column of
+        ``table`` at ``indices``.  An encoded column drives its own
+        gather (a dictionary column gathers codes once and derives the
+        strings from its tiny unique table, instead of a second
+        random-access pass) and its encoding comes along.  ``nullable``
+        gathers read index ``-1`` as ``None`` — the missing side of an
+        outer-join row — and yield a plain list.
+        """
+        data: dict[str, list[Any]] = {}
+        enc: dict[str, Any] = {}
+        for name, column in zip(schema.names, columns):
+            if type(column) is list:
+                data[name] = column
+                continue
+            table, source, indices, nullable = column
+            values = table._data[source]
+            encoded = table._enc.get(source) if indices else None
+            if nullable:
+                values = values + [None]  # -1 indexes the sentinel
+                data[name] = [values[i] for i in indices]
+            elif encoded is None:
                 data[name] = [values[i] for i in indices]
             else:
-                taken = column.gather(indices, values)
-                enc[name] = taken
+                taken = enc[name] = encoded.gather(indices, values)
                 data[name] = taken.boxed
-        table = Table._wrap(self._schema, data, length)
-        table._enc = enc
-        return table
+        length = len(next(iter(data.values()))) if data else 0
+        if len(data) != len(schema.names) or any(
+            len(values) != length for values in data.values()
+        ):
+            raise SchemaError(
+                f"from_gathers: {len(columns)} columns of lengths "
+                f"{[len(v) for v in data.values()]} for {schema.names}"
+            )
+        result = cls._wrap(schema, data, length)
+        result._enc = enc
+        return result
 
     def head(self, n: int) -> "Table":
         return self.take(range(min(n, self._length)))

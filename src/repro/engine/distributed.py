@@ -1035,7 +1035,7 @@ class DistributedExecutor:
 
         assert node.task is not None
         inputs = [partitioned[input_id] for input_id in node.inputs]
-        context.input_names = list(node.input_names)  # type: ignore[attr-defined]
+        context.input_names = list(node.input_names)
         task = node.task
         try:
             if task.partition_local():
@@ -1148,17 +1148,11 @@ class DistributedExecutor:
             raise ExecutionError(
                 f"join task {task.name!r} needs 2 inputs, got {len(inputs)}"
             )
-        # Respect the flow's declared input order (same logic as the
-        # task's own _ordered, but at partition granularity).
-        names = list(getattr(context, "input_names", []) or [])
-        left_parts, right_parts = inputs[0], inputs[1]
-        if (
-            len(names) == 2
-            and names[0].lower() == task.right_name.lower()
-            and names[1].lower() == task.left_name.lower()
-        ):
-            left_parts, right_parts = right_parts, left_parts
-            names = [names[1], names[0]]
+        # Respect the flow's declared input order, as the task does.
+        names = list(context.input_names)
+        left_parts, right_parts = task.ordered(inputs, names)
+        if len(names) == 2:
+            names = list(task.ordered(names, names))
         left_keys = task._left_keys
         right_keys = task._right_keys
         left_shuffled, l_records, l_bytes = self._shuffle(
@@ -1167,7 +1161,7 @@ class DistributedExecutor:
         right_shuffled, r_records, r_bytes = self._shuffle(
             right_parts, right_keys, self._parts
         )
-        context.input_names = names or [task.left_name, task.right_name]  # type: ignore[attr-defined]
+        context.input_names = names or [task.left_name, task.right_name]
         run = _StageRun()
         outputs = self._run_units(
             "shuffle",

@@ -32,18 +32,21 @@ operator family:
   first-seen group order over base-then-delta matches a full pass over
   the concatenated input.
 
-Anything outside this vocabulary — joins, unions (multi-input flows),
+* *Join* at the head of a two-input flow is maintained on its probe
+  (left) side only — see :class:`_JoinState`.
+
+Anything outside this vocabulary — unions and other multi-input flows,
 widget-sourced filters (selection state may have changed since the base
 rows were filtered), grouped top-n, UDFs, user-registered aggregates or
-map operators — has no state, and :func:`flow_supports_delta` reports
-the flow as full-recompute-only.  Falling back is always safe; the
+map operators — has no state, and :func:`fallback_reason` says why the
+flow is full-recompute-only.  Falling back is always safe; the
 states are a fast path, never a correctness requirement.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.data import Table
 from repro.tasks.base import Task, TaskContext
@@ -57,6 +60,7 @@ from repro.tasks.groupby import (
     _out_field,
     _truthy,
 )
+from repro.tasks.join import JoinTask
 from repro.tasks.map_ops import MapTask
 from repro.tasks.misc import (
     AddColumnTask,
@@ -200,10 +204,20 @@ class _GroupByState(_TaskState):
         # _aggs[spec_position][group_position] — parallel to _keys.
         self._aggs: list[list[Any]] = [[] for _ in self._specs]
         self._input_schema = None
+        #: rows of the last ``full`` delta, not yet folded into _aggs
+        self._pending: Table | None = None
 
     def step(self, delta: Delta, context: TaskContext) -> Delta:
         if delta.kind == "full":
+            # A replaced input is answered by the task's bulk kernels;
+            # the row-at-a-time live aggregates are only worth building
+            # if an append ever follows (behind a sort none does).
             self._reset()
+            self._pending = delta.rows
+            return Delta("full", self.task.apply([delta.rows], context))
+        if self._pending is not None:
+            self._ingest(self._pending)
+            self._pending = None
         self._ingest(delta.rows)
         return Delta("full", self._emit(context))
 
@@ -265,6 +279,54 @@ class _GroupByState(_TaskState):
         return result
 
 
+class _JoinState:
+    """Head of a two-input flow: a hash join maintained on its probe side.
+
+    ``join(L ++ Δ, R) = join(L, R) ++ join(Δ, R)`` for ``inner`` and
+    ``left outer`` while the build side ``R`` stands still — each left
+    row's output depends on that row and ``R`` alone — so a probe-side
+    append probes only Δ against the kept build table and index.  Any
+    other change re-primes with one full join over ``inputs()``;
+    :attr:`fallback` says why, unless the probe side was replaced
+    anyway.
+    """
+
+    def __init__(self, task: JoinTask, input_names: Sequence[str]):
+        self.task = task
+        self._names = list(input_names)
+        self._build: Table | None = None
+        self._index: dict[Any, list[int]] = {}
+        self.fallback: str | None = None
+
+    def step(
+        self,
+        deltas: Sequence[Delta],
+        context: TaskContext,
+        inputs: Callable[[], Sequence[Table]],
+    ) -> Delta:
+        task = self.task
+        context.input_names = list(self._names)
+        left, right = task.ordered(deltas, self._names)
+        maintainable = task._condition in ("inner", "left")
+        self.fallback = None
+        if left.kind == "none" and right.kind == "none":
+            return Delta("none")
+        if left.kind == "append" and right.kind == "none" and maintainable:
+            return Delta(
+                "append",
+                task.join(left.rows, self._build, self._index, context),
+            )
+        if left.kind != "full":
+            self.fallback = (
+                "join_build_side_changed" if maintainable else "outer_join"
+            )
+        probe, self._build = task.ordered(inputs(), self._names)
+        self._index = task.build_index(self._build)
+        return Delta(
+            "full", task.join(probe, self._build, self._index, context)
+        )
+
+
 def _state_for(task: Task) -> _TaskState | None:
     """The incremental state for one task, or None when unsupported."""
     if isinstance(task, GroupByTask):
@@ -289,34 +351,49 @@ def _state_for(task: Task) -> _TaskState | None:
     return None
 
 
-def flow_supports_delta(tasks: Sequence[Task]) -> bool:
-    """Can this (single-input) task chain be maintained incrementally?"""
-    return all(_state_for(task) is not None for task in tasks)
+def fallback_reason(tasks: Sequence[Task], num_inputs: int = 1) -> str | None:
+    """Why this flow cannot be maintained incrementally (None: it can).
+
+    A single-input chain of supported tasks can, and so can a two-input
+    flow whose head is a join and whose remaining chain is supported.
+    """
+    if num_inputs == 2 and tasks and isinstance(tasks[0], JoinTask):
+        tasks = tasks[1:]
+    elif num_inputs != 1:
+        return "multi_input"
+    if all(_state_for(task) is not None for task in tasks):
+        return None
+    return "unsupported_task"
+
+
+def flow_supports_delta(tasks: Sequence[Task], num_inputs: int = 1) -> bool:
+    """Can this task chain be maintained incrementally?"""
+    return fallback_reason(tasks, num_inputs) is None
 
 
 class FlowDeltaState:
-    """Incremental execution state for one single-input flow.
+    """Incremental execution state for one flow.
 
     Built once per flow after a full run; each refresh cycle calls
     :meth:`advance` with the source's delta and gets back the flow's
     complete current output plus whether it changed.  The first call
     must carry a ``"full"`` delta (the bootstrap), which primes every
-    stateful task.
+    stateful task.  A two-input flow headed by a join names its inputs
+    (``input_names``, declared order) and advances on one delta each.
     """
 
-    def __init__(self, tasks: Sequence[Task]):
-        states = [_state_for(task) for task in tasks]
-        if any(state is None for state in states):
-            unsupported = [
-                task.name
-                for task, state in zip(tasks, states)
-                if state is None
-            ]
+    def __init__(self, tasks: Sequence[Task], input_names: Sequence[str] = ()):
+        reason = fallback_reason(tasks, len(input_names) or 1)
+        if reason is not None:
             raise ValueError(
-                f"flow is not incrementally maintainable; unsupported "
-                f"tasks: {unsupported}"
+                f"flow is not incrementally maintainable ({reason}); "
+                f"tasks: {[task.name for task in tasks]}"
             )
-        self._states = states
+        self._join: _JoinState | None = None
+        if len(input_names) == 2:
+            self._join = _JoinState(tasks[0], input_names)
+            tasks = tasks[1:]
+        self._states = [_state_for(task) for task in tasks]
         self._output: Table | None = None
 
     @property
@@ -324,19 +401,36 @@ class FlowDeltaState:
         """The flow's full current output (None before the bootstrap)."""
         return self._output
 
+    @property
+    def fallback(self) -> str | None:
+        """Why the last :meth:`advance` had to re-run its join in full
+        although the probe side was not replaced (None: it did not)."""
+        return self._join.fallback if self._join else None
+
     def advance(
-        self, delta: Delta, context: TaskContext
+        self,
+        delta: Delta | Sequence[Delta],
+        context: TaskContext,
+        inputs: Callable[[], Sequence[Table]] | None = None,
     ) -> tuple[Table, Delta]:
         """Push one source delta through the chain.
 
         Returns ``(full_output_table, output_delta)`` — the flow's
         complete current output plus how it changed, so a downstream
         flow consuming this output can advance from the same delta.
+        A join-headed flow takes one delta per input and ``inputs``, a
+        callable returning its complete current input tables: the join
+        keeps no copy of its probe side and calls it when it re-primes.
         """
-        if self._output is None and delta.kind != "full":
+        deltas = [delta] if isinstance(delta, Delta) else list(delta)
+        if self._output is None and any(d.kind != "full" for d in deltas):
             raise ValueError(
                 "FlowDeltaState must be bootstrapped with a 'full' delta"
             )
+        if self._join is not None:
+            delta = self._join.step(deltas, context, inputs)
+        else:
+            (delta,) = deltas
         for state in self._states:
             if delta.kind == "none" or (
                 delta.kind == "append" and delta.rows.num_rows == 0

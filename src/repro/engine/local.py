@@ -193,7 +193,7 @@ class LocalExecutor:
             inputs.append(tables[input_id])
         # Name-aware tasks (join) use the flow's declared input names
         # to order their left/right sides.
-        context.input_names = list(node.input_names)  # type: ignore[attr-defined]
+        context.input_names = list(node.input_names)
         try:
             return node.task.apply(inputs, context)
         except ShareInsightsError:

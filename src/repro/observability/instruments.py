@@ -10,6 +10,8 @@ record consistently-labelled series into a shared
 
 from __future__ import annotations
 
+from typing import Mapping
+
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracing import Span, span_children
 
@@ -169,7 +171,7 @@ def record_refresh(
     mode: str,
     seconds: float,
     delta_rows: int,
-    fallbacks: int,
+    fallback_reasons: Mapping[str, str],
 ) -> None:
     """One dashboard refresh (incremental or full recompute)."""
     metrics.counter(
@@ -182,11 +184,11 @@ def record_refresh(
         metrics.counter(
             REFRESH_DELTA_ROWS, "Source rows ingested by delta refreshes"
         ).inc(delta_rows, dashboard=dashboard)
-    if fallbacks:
+    for reason in fallback_reasons.values():
         metrics.counter(
             REFRESH_FALLBACKS,
             "Flows that fell back to full recompute during a refresh",
-        ).inc(fallbacks, dashboard=dashboard)
+        ).inc(dashboard=dashboard, reason=reason)
 
 
 _POOL_EVENT_METRICS = {

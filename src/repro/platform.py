@@ -402,7 +402,7 @@ class Platform:
             report.mode,
             report.seconds,
             report.delta_rows,
-            len(report.flows_full),
+            report.fallback_reasons,
         )
         self._log(
             "refresh",
@@ -412,6 +412,7 @@ class Platform:
                 "delta_rows": report.delta_rows,
                 "flows_incremental": list(report.flows_incremental),
                 "flows_full": list(report.flows_full),
+                "fallback_reasons": dict(report.fallback_reasons),
                 "flows_skipped": list(report.flows_skipped),
                 "endpoints_changed": list(report.endpoints_changed),
                 "trace_id": report.trace_id,

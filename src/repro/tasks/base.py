@@ -69,6 +69,9 @@ class TaskContext:
             for name, mapping in (dictionaries or {}).items()
         }
         self.widget_selections = dict(widget_selections or {})
+        #: the running flow's declared input names, set by the engines
+        #: per node; name-aware tasks (join) order their sides by it
+        self.input_names: list[str] = []
         #: execution counters, populated by tasks (rows in/out etc.)
         self.counters: dict[str, int] = {}
         # Partition attempts may run on worker threads; counter updates
@@ -149,6 +152,21 @@ def _parse_dictionary(text: str) -> dict[str, str]:
             surface, _, canonical = line.partition(sep)
             mapping[surface.strip().lower()] = canonical.strip()
     return mapping
+
+
+def first_unhashable(
+    table: Table, columns: Sequence[str]
+) -> tuple[str, Any] | None:
+    """The first ``(column, cell)`` among ``columns`` whose cell refuses
+    to hash — what lets a hash-keyed kernel turn its bare ``TypeError``
+    into an error that names the column."""
+    for column in columns:
+        for value in table.column(column):
+            try:
+                hash(value)
+            except TypeError:
+                return column, value
+    return None
 
 
 class Task(abc.ABC):

@@ -30,9 +30,9 @@ from collections import Counter
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.data import Column, Schema, Table
-from repro.data.kernels import group_indices
+from repro.data.kernels import group_indices, repeat_indices
 from repro.errors import TaskConfigError, TaskExecutionError
-from repro.tasks.base import Task, TaskContext
+from repro.tasks.base import Task, TaskContext, first_unhashable
 
 
 class Aggregate:
@@ -288,14 +288,9 @@ def _explode(
             if len(kinds) == 1
             else [c if isinstance(c, list) else (c,) for c in cells]
         )
-        index = list(
-            itertools.chain.from_iterable(
-                map(itertools.repeat, range(len(pools)), map(len, pools))
-            )
-        )
         exploded = (
             exploded.drop([name])
-            .take(index)
+            .take(repeat_indices(pools))
             .with_column(name, itertools.chain.from_iterable(pools))
         )
     return exploded
@@ -365,20 +360,24 @@ class GroupByTask(Task):
         table = _explode(table, group_columns, self.required_columns())
         specs = self._aggregate_specs()
         try:
-            keys, aggregated = self._aggregate(table, specs)
+            keys, aggregated, first = self._aggregate(table, specs)
         except TypeError:
             self.check_hashable(table)
             raise
-        data: dict[str, Sequence[Any]] = {}
-        if len(group_columns) == 1:
-            data[group_columns[0]] = keys
+        if first is not None:
+            # Each key column is its groups' first rows, gathered through
+            # its own encoding: a trailing sort on the keys stays on codes.
+            key_columns = [(table, c, first, False) for c in group_columns]
+        elif len(group_columns) == 1:
+            key_columns = [keys]
         else:
-            for j, column in enumerate(group_columns):
-                data[column] = [key[j] for key in keys]
+            key_columns = [
+                [key[j] for key in keys] for j in range(len(group_columns))
+            ]
         out_fields = [_out_field(spec) for spec in specs]
-        data.update(zip(out_fields, aggregated))
-        schema = self.output_schema([table.schema])
-        result = Table(schema, {n: data[n] for n in schema.names})
+        result = Table.from_gathers(
+            self.output_schema([table.schema]), key_columns + aggregated
+        )
         if _truthy(self.config.get("orderby_aggregates")):
             result = result.sorted_by([out_fields[0]], descending=[True])
         context.bump(f"task.{self.name}.groups", len(keys))
@@ -386,8 +385,9 @@ class GroupByTask(Task):
 
     def _aggregate(
         self, table: Table, specs: list[dict[str, Any]]
-    ) -> tuple[list[Any], list[list[Any]]]:
-        """``(keys, one result list per spec)`` in first-seen key order."""
+    ) -> tuple[list[Any], list[list[Any]], list[int] | None]:
+        """``(keys, one result list per spec, each group's first row)`` in
+        first-seen key order; the count kernel knows no rows (``None``)."""
         group_columns = self.group_columns
         operators = [str(spec["operator"]).lower() for spec in specs]
         if set(operators) == {"count"} and _is_builtin("count"):
@@ -399,7 +399,11 @@ class GroupByTask(Task):
             counts = Counter(
                 key_columns[0] if len(key_columns) == 1 else zip(*key_columns)
             )
-            return list(counts), [list(counts.values())] * len(specs)
+            return (
+                list(counts),
+                [list(counts.values()) for _ in specs],
+                None,
+            )
         # Encoded key columns group by dictionary code (no hashing);
         # plain columns keep the historical boxed loop.
         keys, buckets = group_indices(table._kernel_columns(group_columns))
@@ -428,7 +432,7 @@ class GroupByTask(Task):
                         agg.add(col[i] if col is not None else None)
                     results.append(agg.result())
                 aggregated.append(results)
-        return keys, aggregated
+        return keys, aggregated, [bucket[0] for bucket in buckets]
 
     def check_hashable(self, table: Table) -> None:
         """Raise a structured error naming the first group-key or
@@ -439,16 +443,13 @@ class GroupByTask(Task):
             for spec in self._aggregate_specs()
             if str(spec["operator"]).lower() == "count_distinct"
         ]
-        for column in columns:
-            for value in table.column(column):
-                try:
-                    hash(value)
-                except TypeError:
-                    raise TaskExecutionError(
-                        f"groupby task {self.name!r}: column {column!r} "
-                        f"holds the unhashable value {value!r}; group keys "
-                        f"and count_distinct values must be scalars"
-                    ) from None
+        found = first_unhashable(table, columns)
+        if found is not None:
+            raise TaskExecutionError(
+                f"groupby task {self.name!r}: column {found[0]!r} "
+                f"holds the unhashable value {found[1]!r}; group keys "
+                f"and count_distinct values must be scalars"
+            ) from None
 
 
 def _out_field(spec: Mapping[str, Any]) -> str:

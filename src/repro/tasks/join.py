@@ -18,17 +18,20 @@ case-insensitive, as the paper mixes ``left outer`` and ``LEFT OUTER``.
 
 ``project`` renames ``<input>_<column>`` keys to output columns; without
 it the output is all left columns plus the right's non-key columns
-(collisions suffixed ``_right``).
+(collisions suffixed ``_right``; an unmatched right row of a right/full
+outer join carries its key in the left key columns).
 """
 
 from __future__ import annotations
 
 import re
+from itertools import chain, repeat
 from typing import Any, Sequence
 
 from repro.data import Column, Schema, Table
+from repro.data.kernels import repeat_indices
 from repro.errors import TaskConfigError, TaskExecutionError
-from repro.tasks.base import Task, TaskContext
+from repro.tasks.base import Task, TaskContext, first_unhashable
 
 _SIDE_RE = re.compile(
     r"^\s*(?P<name>[A-Za-z_][\w.]*)\s+by\s+(?P<keys>.+?)\s*$"
@@ -96,6 +99,12 @@ class JoinTask(Task):
         if project is not None and not isinstance(project, dict):
             raise TaskConfigError(
                 f"join task {self.name!r}: 'project' must be a mapping"
+            )
+        outputs = [str(out) for out in (project or {}).values()]
+        if len(set(outputs)) != len(outputs):
+            raise TaskConfigError(
+                f"join task {self.name!r}: 'project' names an output "
+                f"column twice in {outputs}"
             )
 
     @property
@@ -172,61 +181,12 @@ class JoinTask(Task):
                 f"join task {self.name!r} needs exactly 2 inputs, "
                 f"got {len(inputs)}"
             )
-        left, right = self._ordered(inputs, context)
-        left.schema.require(self._left_keys, context=f"{self.name} (left)")
-        right.schema.require(
-            self._right_keys, context=f"{self.name} (right)"
-        )
-        # Hash join: build on the right side.  Single-key joins hash
-        # bare values, composite keys are built column-wise via zip —
-        # no per-row generator-into-tuple.  Matched right rows are a
-        # bytearray bitmap, so the right/full-outer sweep is one pass
-        # over bytes instead of per-row set membership.
-        single = len(self._right_keys) == 1
-        build: dict[Any, list[int]] = {}
-        right_key_cols = [right.column(k) for k in self._right_keys]
-        if single:
-            for i, key in enumerate(right_key_cols[0]):
-                build.setdefault(key, []).append(i)
-        else:
-            for i, key in enumerate(zip(*right_key_cols)):
-                build.setdefault(key, []).append(i)
-        matched = bytearray(right.num_rows)
-        keep_unmatched_left = self._condition in ("left", "full")
-        pairs: list[tuple[int | None, int | None]] = []
-        append = pairs.append
-        left_key_cols = [left.column(k) for k in self._left_keys]
-        if single:
-            for i, key in enumerate(left_key_cols[0]):
-                matches = build.get(key)
-                if matches and key is not None:
-                    for j in matches:
-                        append((i, j))
-                        matched[j] = 1
-                elif keep_unmatched_left:
-                    append((i, None))
-        else:
-            for i, key in enumerate(zip(*left_key_cols)):
-                matches = build.get(key)
-                if matches and all(k is not None for k in key):
-                    for j in matches:
-                        append((i, j))
-                        matched[j] = 1
-                elif keep_unmatched_left:
-                    append((i, None))
-        if self._condition in ("right", "full"):
-            pairs.extend(
-                (None, j) for j, hit in enumerate(matched) if not hit
-            )
-        context.bump(f"task.{self.name}.pairs", len(pairs))
-        return self._materialize(left, right, pairs)
+        left, right = self.ordered(inputs, context.input_names)
+        return self.join(left, right, self.build_index(right), context)
 
-    def _ordered(
-        self, inputs: Sequence[Table], context: TaskContext
-    ) -> tuple[Table, Table]:
-        """Order inputs as (left, right) using flow input names if known."""
-        names = getattr(context, "input_names", None)
-        if names and len(names) == 2:
+    def ordered(self, inputs: Sequence[Any], names: Sequence[str]) -> tuple:
+        """Order two per-input items as (left, right) by flow input name."""
+        if len(names) == 2:
             lowered = [n.lower() for n in names]
             if (
                 lowered[0] == self._right_name.lower()
@@ -235,43 +195,124 @@ class JoinTask(Task):
                 return inputs[1], inputs[0]
         return inputs[0], inputs[1]
 
+    def _keys(self, table: Table, side: str) -> Any:
+        """The ``side`` key cells of ``table``, one per row: bare values
+        for a single key, column-wise zipped tuples for a composite."""
+        names = self._left_keys if side == "left" else self._right_keys
+        table.schema.require(names, context=f"{self.name} ({side})")
+        columns = [table.column(k) for k in names]
+        return columns[0] if len(columns) == 1 else zip(*columns)
+
+    def check_hashable(self, table: Table, side: str) -> None:
+        """Raise a structured error naming the first ``side`` key column
+        of ``table`` that holds an unhashable cell."""
+        found = first_unhashable(
+            table, self._left_keys if side == "left" else self._right_keys
+        )
+        if found is not None:
+            raise TaskExecutionError(
+                f"join task {self.name!r}: {side} column {found[0]!r} "
+                f"holds the unhashable value {found[1]!r}; join keys "
+                f"must be scalars"
+            ) from None
+
+    def build_index(self, right: Table) -> dict[Any, list[int]]:
+        """Hash the build (right) side: key -> its rows, in row order.
+
+        Keys holding a ``None`` never match anything, so they are left
+        out here and the probe needs no null check of its own.
+        """
+        index: dict[Any, list[int]] = {}
+        try:
+            for j, key in enumerate(self._keys(right, "right")):
+                index.setdefault(key, []).append(j)
+        except TypeError:
+            self.check_hashable(right, "right")
+            raise
+        if len(self._right_keys) == 1:
+            index.pop(None, None)
+            return index
+        return {
+            key: rows
+            for key, rows in index.items()
+            if not any(k is None for k in key)
+        }
+
+    def join(
+        self,
+        left: Table,
+        right: Table,
+        index: dict[Any, list[int]],
+        context: TaskContext,
+    ) -> Table:
+        """Probe ``index`` (built over ``right``) with ``left``'s rows.
+
+        Output order: left row order, each row's matches in build-row
+        order, then (right/full outer) the unmatched right rows.  The
+        probe emits two row-index vectors, ``-1`` marking the missing
+        side of an outer row.
+        """
+        # Per left row its build rows (an unmatched row kept by a left/
+        # full outer join stands for one missing build row), flattened
+        # into the two vectors by repeat-index — no per-pair Python.
+        miss = [-1] if self._condition in ("left", "full") else []
+        try:
+            hits = list(map(index.get, self._keys(left, "left"), repeat(miss)))
+        except TypeError:
+            self.check_hashable(left, "left")
+            raise
+        right_rows = list(chain.from_iterable(hits))
+        left_rows = repeat_indices(hits)
+        unmatched = 0
+        if self._condition in ("right", "full"):
+            hit = set(right_rows)
+            tail = [j for j in range(right.num_rows) if j not in hit]
+            unmatched = len(tail)
+            left_rows += [-1] * unmatched
+            right_rows += tail
+        context.bump(f"task.{self.name}.pairs", len(left_rows))
+        return self._materialize(
+            left, right, left_rows, right_rows, unmatched
+        )
+
     def _materialize(
         self,
         left: Table,
         right: Table,
-        pairs: list[tuple[int | None, int | None]],
+        left_rows: list[int],
+        right_rows: list[int],
+        unmatched: int,
     ) -> Table:
-        projection = self._projection()
+        """One gather per output column, each through the column's own
+        encoding (as ``Table.take``); a side with missing slots takes
+        the null-aware gather."""
         schema = self.output_schema([left.schema, right.schema])
-        if projection is not None:
-            sources = []
-            for side, column, _out in projection:
-                table = left if side == "left" else right
-                sources.append((side, table.column(column)))
-            data: dict[str, list[Any]] = {
-                name: [] for name in schema.names
-            }
-            for li, ri in pairs:
-                for (side, values), name in zip(sources, schema.names):
-                    index = li if side == "left" else ri
-                    data[name].append(
-                        values[index] if index is not None else None
-                    )
-            return Table(schema, data)
-        # Default projection: left columns, then right non-key columns.
-        right_keys = set(self._right_keys)
-        right_cols = [c for c in right.schema.names if c not in right_keys]
-        data = {name: [] for name in schema.names}
-        left_names = left.schema.names
-        for li, ri in pairs:
-            for name in left_names:
-                data[name].append(
-                    left.column(name)[li] if li is not None else None
+        sides = {
+            "left": (left, left_rows, unmatched > 0),
+            "right": (right, right_rows, -1 in right_rows),
+        }
+        projection = self._projection()
+        if projection is None:
+            # Default projection: left columns, then right non-key columns.
+            projection = [("left", c, c) for c in left.schema.names] + [
+                ("right", c, c)
+                for c in right.schema.names
+                if c not in self._right_keys
+            ]
+            coalesce = dict(zip(self._left_keys, self._right_keys))
+        else:
+            coalesce = {}
+        columns: list[Any] = []
+        for side, column, _out in projection:
+            table, rows, nullable = sides[side]
+            if unmatched and side == "left" and column in coalesce:
+                # An unmatched right row (they trail the output) has no
+                # left row to take its key from: it carries its own.
+                cells, keys = left.column(column), right.column(coalesce[column])
+                columns.append(
+                    [cells[i] for i in left_rows[:-unmatched]]
+                    + [keys[j] for j in right_rows[-unmatched:]]
                 )
-            for name, out_name in zip(
-                right_cols, schema.names[len(left_names):]
-            ):
-                data[out_name].append(
-                    right.column(name)[ri] if ri is not None else None
-                )
-        return Table(schema, data)
+            else:
+                columns.append((table, column, rows, nullable))
+        return Table.from_gathers(schema, columns)

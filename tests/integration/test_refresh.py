@@ -37,8 +37,8 @@ FLOW = (
     "              out_field: total\n"
 )
 
-# A flow with a join: multi-input, so refreshes recompute through the
-# real engine instead of delta states.
+# A flow with a join: maintained on its probe side (games); a change to
+# the build side (cities) re-runs the whole join.
 JOIN_FLOW = (
     "D:\n"
     "    games: [team, runs]\n"
@@ -146,19 +146,154 @@ class TestIncrementalRefresh:
         theirs = fresh_full_run(tmp_path).endpoint("top")
         assert mine.to_json_records() == theirs.to_json_records()
 
-    def test_multi_input_flow_recomputes_exactly(self, tmp_path):
+    def _join_platform(self, tmp_path):
         write_games(tmp_path, [("CSK", 120), ("MI", 98)])
         (tmp_path / "cities.csv").write_text(
             "team,city\nCSK,Chennai\nMI,Mumbai\nRCB,Bengaluru\n",
             encoding="utf-8",
         )
         platform = make_platform(tmp_path, flow=JOIN_FLOW)
-        append_games(tmp_path, [("RCB", 41)])
-        report = platform.refresh_dashboard("ipl")
-        assert report.flows_full == ["out"]  # engine fallback, not delta
+        platform.refresh_dashboard("ipl")  # bootstrap cycle
+        return platform
+
+    def _assert_join_matches_fresh_run(self, platform, tmp_path):
         mine = platform.get_dashboard("ipl").endpoint("out")
         theirs = fresh_full_run(tmp_path, flow=JOIN_FLOW).endpoint("out")
+        assert mine.schema.names == theirs.schema.names
         assert mine.to_json_records() == theirs.to_json_records()
+
+    def test_join_probe_side_append_is_maintained(self, tmp_path):
+        platform = self._join_platform(tmp_path)
+        append_games(tmp_path, [("RCB", 41), ("KKR", 7), ("CSK", 1)])
+        report = platform.refresh_dashboard("ipl")
+        assert report.flows_incremental == ["out"]  # only Δ was probed
+        assert report.flows_full == [] and report.fallback_reasons == {}
+        self._assert_join_matches_fresh_run(platform, tmp_path)
+
+    def test_join_build_side_append_falls_back(self, tmp_path):
+        platform = self._join_platform(tmp_path)
+        with (tmp_path / "cities.csv").open("a", encoding="utf-8") as out:
+            out.write("KKR,Kolkata\nCSK,Madras\n")
+        append_games(tmp_path, [("KKR", 7)])
+        report = platform.refresh_dashboard("ipl")
+        assert report.flows_full == ["out"]
+        assert report.fallback_reasons == {"out": "join_build_side_changed"}
+        self._assert_join_matches_fresh_run(platform, tmp_path)
+        # ... and the re-primed state keeps maintaining afterwards
+        append_games(tmp_path, [("CSK", 9)])
+        report = platform.refresh_dashboard("ipl")
+        assert report.flows_incremental == ["out"]
+        self._assert_join_matches_fresh_run(platform, tmp_path)
+
+    def test_source_endpoint_is_not_served_stale(self, tmp_path):
+        """A refresh keeps one current table per source: the copy the
+        first run materialized is neither served (it was, stale, under
+        a bumped version) nor kept alive beside the maintained one."""
+        flow = FLOW.replace(
+            "    source: games.csv\n",
+            "    source: games.csv\n    endpoint: true\n",
+        )
+        write_games(tmp_path, [("CSK", 120)])
+        platform = make_platform(tmp_path, flow=flow)
+        platform.refresh_dashboard("ipl")
+        append_games(tmp_path, [("MI", 9)])
+        report = platform.refresh_dashboard("ipl")
+        assert "games" in report.endpoints_changed
+        dashboard = platform.get_dashboard("ipl")
+        assert dashboard.endpoint("games").column("team") == ["CSK", "MI"]
+        assert dashboard.endpoint("games") is dashboard._source_tables["games"]
+
+    def test_bypassed_join_state_is_dropped(self, tmp_path):
+        """``best`` (a grouped top-n) always recomputes through the
+        engine and drags the join behind it along; in cycles where only
+        ``cities`` grows the join advances its own state.  That state
+        must not survive a cycle that went around it."""
+        flow = (
+            "D:\n    games: [team, runs]\n    cities: [team, city]\n"
+            "    best: [team, runs]\n    out: [team, city, runs]\n"
+            "D.games:\n    source: games.csv\n"
+            "D.cities:\n    source: cities.csv\n"
+            "F:\n    D.best: D.games | T.top\n"
+            "    D.out: (D.cities, D.best) | T.j\n"
+            "    D.out:\n        endpoint: true\n"
+            "T:\n    top:\n        type: topn\n        groupby: [team]\n"
+            "        orderby_column: [runs DESC]\n        limit: 1\n"
+            "    j:\n        type: join\n        left: cities by team\n"
+            "        right: best by team\n        join_condition: left outer\n"
+        )
+        write_games(tmp_path, [("CSK", 120), ("MI", 98)])
+        cities = tmp_path / "cities.csv"
+        cities.write_text("team,city\nCSK,Chennai\n", encoding="utf-8")
+        platform = make_platform(tmp_path, flow=flow)
+        seen = []
+        for grow in ("none", "cities", "games", "cities"):
+            if grow == "games":
+                append_games(tmp_path, [("MI", 150), ("RCB", 3)])
+            elif grow == "cities":
+                with cities.open("a", encoding="utf-8") as out:
+                    out.write("MI,Mumbai\n" if not seen[-1] else "RCB,Blr\n")
+            report = platform.refresh_dashboard("ipl")
+            seen.append(report.fallback_reasons)
+            mine = platform.get_dashboard("ipl").endpoint("out")
+            theirs = fresh_full_run(tmp_path, flow=flow).endpoint("out")
+            assert mine.to_json_records() == theirs.to_json_records(), grow
+        around = {"best": "unsupported_task", "out": "upstream_recompute"}
+        assert seen == [around, {}, around, {}]
+
+    @pytest.mark.parametrize(
+        "condition, grows, reason",
+        [
+            ("inner", "cities", "join_build_side_changed"),
+            ("right outer", "games", "outer_join"),
+        ],
+    )
+    def test_fallback_reason_is_reported_everywhere(
+        self, tmp_path, capsys, monkeypatch, condition, grows, reason
+    ):
+        from repro.cli import main
+
+        flow = JOIN_FLOW.replace("inner", condition)
+        write_games(tmp_path, [("CSK", 120), ("MI", 98)])
+        (tmp_path / "cities.csv").write_text(
+            "team,city\nCSK,Chennai\nRCB,Bengaluru\n", encoding="utf-8"
+        )
+        (tmp_path / "dash.flow").write_text(flow, encoding="utf-8")
+        platform = make_platform(tmp_path, flow=flow)
+        platform.refresh_dashboard("ipl")  # bootstrap: nothing fell back
+        assert platform.get_dashboard("ipl").last_refresh.fallback_reasons == {}
+        with (tmp_path / f"{grows}.csv").open("a", encoding="utf-8") as out:
+            out.write("MI,Mumbai\n" if grows == "cities" else "RCB,41\n")
+        report = platform.refresh_dashboard("ipl")
+        assert report.fallback_reasons == {"out": reason}
+        assert report.flows_full == ["out"] and not report.flows_incremental
+        mine = platform.get_dashboard("ipl").endpoint("out")
+        theirs = fresh_full_run(tmp_path, flow=flow).endpoint("out")
+        assert mine.to_json_records() == theirs.to_json_records()
+
+        series = platform.observability.metrics.as_dict()[
+            "repro_refresh_fallbacks_total"
+        ]["series"]
+        assert series == [
+            {"labels": {"dashboard": "ipl", "reason": reason}, "value": 1}
+        ]
+        event = [e for e in platform.events if e.kind == "refresh"][-1]
+        assert event.detail["fallback_reasons"] == {"out": reason}
+
+        # The CLI line: its first cycle bootstraps; the file grows while
+        # it sleeps before the second.
+        def grow(_seconds):
+            with (tmp_path / f"{grows}.csv").open("a") as out:
+                out.write("KKR,Kolkata\n" if grows == "cities" else "KKR,7\n")
+
+        monkeypatch.setattr("time.sleep", grow)
+        code = main(
+            ["refresh", str(tmp_path / "dash.flow"), "--data",
+             str(tmp_path), "--cycles", "2", "--interval", "0.01"]
+        )
+        assert code == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert f"out fell back: {reason}" in lines[-1]
+        assert "fell back" not in lines[-2]
 
     def test_refresh_emits_metrics_and_event(self, tmp_path):
         write_games(tmp_path, [("CSK", 120)])

@@ -4,6 +4,10 @@ For any edit to any stage of a pipeline, saving + running incrementally
 must produce exactly what a from-scratch run of the edited file
 produces.  This is the safety property behind
 :func:`repro.compiler.compiler.flow_fingerprints`.
+
+The second half is the same promise for refreshes of a join-headed flow:
+after any sequence of appends to either side a ``FlowDeltaState`` shows
+what the per-cell reference join, run over everything, shows.
 """
 
 from hypothesis import given, settings
@@ -11,6 +15,16 @@ from hypothesis import strategies as st
 
 from repro import Platform
 from repro.data import Schema, Table
+from repro.engine.incremental import Delta, FlowDeltaState
+from repro.tasks.base import TaskContext
+from repro.tasks.registry import default_task_registry
+from tests.property.test_prop_task_kernels import (
+    ReferenceJoinTask,
+    cells,
+    join_configs,
+    join_sides,
+    join_task_config,
+)
 
 
 def flow(threshold: int, operator: str, limit: int) -> str:
@@ -92,3 +106,95 @@ def test_noop_edit_skips_all_flows(p):
     assert sorted(report.flows_skipped) == [
         "cleaned", "ranking", "summary"
     ]
+
+
+# ---------------------------------------------------------------------------
+# join-headed flows under appends
+# ---------------------------------------------------------------------------
+
+REGISTRY = default_task_registry()
+CHAINS = [
+    [],
+    [
+        {"type": "filter_by", "filter_expression": "v != 0"},
+        {"type": "sort", "orderby_column": ["v DESC"]},
+    ],
+    [
+        {
+            "type": "groupby",
+            "groupby": ["v"],
+            "aggregates": [
+                {"operator": "count", "out_field": "n"},
+                {"operator": "min", "apply_on": "v", "out_field": "low"},
+            ],
+        }
+    ],
+]
+
+#: one refresh cycle: how many rows each side grows by
+growth = st.tuples(st.integers(0, 4), st.sampled_from([0, 0, 0, 2]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    join_sides(max_size=16),
+    join_configs,
+    st.sampled_from(CHAINS),
+    st.lists(growth, min_size=1, max_size=4),
+)
+def test_join_flow_state_after_appends_matches_full_recompute(
+    sides, config, chain, cycles
+):
+    left, right = sides
+    names = ["r", "l"] if config["swapped"] else ["l", "r"]
+    tail = [
+        REGISTRY.create(f"t{i}", dict(spec)) for i, spec in enumerate(chain)
+    ]
+    join = REGISTRY.create("j", join_task_config(config))
+    reference = ReferenceJoinTask("j", join_task_config(config))
+    maintainable = config["join_condition"] in ("inner", "left outer")
+
+    # the rows still to come are held back from both sides
+    held = [sum(c[side] for c in cycles) for side in (0, 1)]
+    seen = [max(left.num_rows - held[0], 0), max(right.num_rows - held[1], 0)]
+    whole = {"l": left, "r": right}
+
+    def current(side):
+        return whole["lr"[side]].take(range(seen[side]))
+
+    def inputs():
+        return [current("lr".index(name)) for name in names]
+
+    state = FlowDeltaState([join] + tail, names)
+    context = TaskContext()
+    state.advance([Delta("full", t) for t in inputs()], context, inputs)
+    for cycle in cycles:
+        deltas = {}
+        for side, name in enumerate("lr"):
+            grown = min(seen[side] + cycle[side], whole[name].num_rows)
+            rows = whole[name].take(range(seen[side], grown))
+            seen[side] = grown
+            deltas[name] = (
+                Delta("append", rows) if rows.num_rows else Delta("none")
+            )
+        output, delta = state.advance(
+            [deltas[name] for name in names], context, inputs
+        )
+
+        if deltas["l"].kind == deltas["r"].kind == "none":
+            assert delta.kind == "none" and state.fallback is None
+        elif not maintainable:
+            assert state.fallback == "outer_join"
+        elif deltas["r"].kind == "append":  # the build side moved
+            assert state.fallback == "join_build_side_changed"
+        else:
+            assert state.fallback is None
+            if not chain:
+                assert delta.kind != "full"  # only Δ was probed
+
+        reference_context = TaskContext()
+        reference_context.input_names = list(names)
+        want = reference.apply(inputs(), reference_context)
+        for task in tail:
+            want = task.apply([want], reference_context)
+        assert cells(output) == cells(want)

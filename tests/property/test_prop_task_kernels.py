@@ -5,10 +5,11 @@ map path replaced row-at-a-time loops.  Those loops live on here as the
 reference: ``_reference_explode`` is the old explode verbatim,
 ``ReferenceGroupByTask`` groups through a dict of tuple keys and feeds one
 ``Aggregate`` object per (group, spec) a row at a time, and
-``ReferenceMapTask`` calls the operator once per row with no memo.  Every
-property runs the same flow twice — shipped tasks and reference tasks —
-on one evaluator and demands the same cells in the same order under the
-same schema.  Cells compare by ``repr`` so ``1``/``True``/``1.0`` and NaN
+``ReferenceMapTask`` calls the operator once per row with no memo.  ``ReferenceJoinTask`` is the join before its index-vector kernel: a list
+of ``(i, j)`` pairs and one cell appended per output pair and column.
+Every property runs the same flow twice — shipped tasks and reference
+tasks — on one evaluator and demands the same cells in the same order
+under the same schema.  Cells compare by ``repr`` so ``1``/``True``/``1.0`` and NaN
 cannot hide behind ``==``.
 """
 
@@ -26,6 +27,7 @@ from repro.engine.incremental import Delta, FlowDeltaState
 from repro.tasks import groupby, map_ops
 from repro.tasks.base import TaskContext
 from repro.tasks.groupby import GroupByTask, _explode
+from repro.tasks.join import JoinTask
 from repro.tasks.map_ops import MapTask
 from repro.tasks.registry import default_task_registry
 
@@ -117,10 +119,76 @@ class ReferenceMapTask(MapTask):
         return table.with_column(self.output_column, values)
 
 
+class ReferenceJoinTask(JoinTask):
+    """The join this PR replaced: ``(i, j)`` pairs, then one cell at a
+    time.  Two things differ from the old code on purpose — an unmatched
+    right row of the default projection takes its left key cells from
+    its own right key cells (the bug fixed beside the kernel), and the
+    sides come from ``context.input_names``, now a declared attribute."""
+
+    def apply(self, inputs, context):
+        left, right = self.ordered(inputs, context.input_names)
+        build = {}
+        for j, key in enumerate(
+            zip(*(right.column(k) for k in self._right_keys))
+        ):
+            build.setdefault(key, []).append(j)
+        matched = set()
+        pairs = []
+        for i, key in enumerate(
+            zip(*(left.column(k) for k in self._left_keys))
+        ):
+            matches = build.get(key)
+            if matches and all(k is not None for k in key):
+                for j in matches:
+                    pairs.append((i, j))
+                    matched.add(j)
+            elif self._condition in ("left", "full"):
+                pairs.append((i, None))
+        if self._condition in ("right", "full"):
+            pairs.extend(
+                (None, j) for j in range(right.num_rows) if j not in matched
+            )
+        schema = self.output_schema([left.schema, right.schema])
+        projection = self._projection()
+        data = {name: [] for name in schema.names}
+        if projection is not None:
+            for li, ri in pairs:
+                for (side, column, _out), name in zip(projection, schema.names):
+                    table, index = (left, li) if side == "left" else (right, ri)
+                    data[name].append(
+                        table.column(column)[index]
+                        if index is not None
+                        else None
+                    )
+            return Table(schema, data)
+        own_key = dict(zip(self._left_keys, self._right_keys))
+        right_cols = [
+            c for c in right.schema.names if c not in self._right_keys
+        ]
+        left_names = left.schema.names
+        for li, ri in pairs:
+            for name in left_names:
+                if li is not None:
+                    data[name].append(left.column(name)[li])
+                elif name in own_key:
+                    data[name].append(right.column(own_key[name])[ri])
+                else:
+                    data[name].append(None)
+            for name, out_name in zip(
+                right_cols, schema.names[len(left_names):]
+            ):
+                data[out_name].append(
+                    right.column(name)[ri] if ri is not None else None
+                )
+        return Table(schema, data)
+
+
 def _reference_registry():
     registry = default_task_registry()
     registry.register_type(ReferenceGroupByTask, replace=True)
     registry.register_type(ReferenceMapTask, replace=True)
+    registry.register_type(ReferenceJoinTask, replace=True)
     return registry
 
 
@@ -465,6 +533,155 @@ def test_value_only_map_matches_row_at_a_time(operator, mixed, texts):
         got = MapTask("m", config).apply([table], context)
         want = ReferenceMapTask("m", config).apply([table], context)
         assert cells(got) == cells(want)
+
+
+# ---------------------------------------------------------------------------
+# the join kernel against the per-cell join
+# ---------------------------------------------------------------------------
+
+#: equal-but-not-identical keys, a dangling one, and None (never matches)
+JOIN_KEYS = {
+    "odd": [1, True, 1.0, 0, 2, None, "1"],
+    "int": [1, 2, 3, 7, None],
+    "str": ["a", "b", "c", None],
+}
+TAGS = ["north", "south", None]
+
+
+@st.composite
+def join_sides(draw, max_size=12):
+    """``(left, right)``: ``l(k, k2, v, tag)`` and ``r(k, k2, v, w)`` —
+    ``v`` collides (``v_right``), as does ``k2`` under a single-key join;
+    keys repeat on both sides, dangle, and hold ``None``; each side is
+    encoded at the ingest boundary or fully boxed; either may be empty."""
+    key = st.sampled_from(JOIN_KEYS[draw(st.sampled_from(sorted(JOIN_KEYS)))])
+    key2 = st.sampled_from(["x", "y", None])
+    sides = []
+    for names, extra in (
+        (["k", "k2", "v", "tag"], st.sampled_from(TAGS)),
+        (["k", "k2", "v", "w"], st.one_of(st.none(), st.floats(-2, 2))),
+    ):
+        rows = draw(
+            st.lists(
+                st.tuples(
+                    key, key2, st.one_of(st.none(), st.integers(-3, 3)), extra
+                ),
+                max_size=max_size,
+            )
+        )
+        columns = {n: [r[j] for r in rows] for j, n in enumerate(names)}
+        build = Table.from_columns if draw(st.booleans()) else Table
+        sides.append(build(Schema.of(*names), columns))
+    return tuple(sides)
+
+
+join_configs = st.fixed_dictionaries(
+    {
+        "keys": st.sampled_from(["k", "k, k2"]),
+        "join_condition": st.sampled_from(
+            ["inner", "left outer", "RIGHT OUTER", "full outer"]
+        ),
+        "project": st.sampled_from(
+            [
+                None,
+                {"l_k": "key", "l_v": "v", "r_w": "w", "R_k": "rkey",
+                 "R_v": "rv", "l_tag": "tag"},
+            ]
+        ),
+        "swapped": st.booleans(),  # the flow lists (D.r, D.l)
+    }
+)
+
+
+def join_task_config(config):
+    task = {
+        "type": "join",
+        "left": f"l by {config['keys']}",
+        "right": f"D.r by {config['keys']}",
+        "join_condition": config["join_condition"],
+    }
+    if config["project"] is not None:
+        task["project"] = config["project"]
+    return task
+
+
+def _join_plan(registry, config):
+    """The join, then what sits behind it in ``activity_join``: a filter,
+    a sort, and a group-by + sort on the (encoded or boxed) outputs."""
+    inputs = "(D.r, D.l)" if config["swapped"] else "(D.l, D.r)"
+    flow = parse_flow_file(
+        "D:\n    l: [k, k2, v, tag]\n    r: [k, k2, v, w]\n"
+        "D.l:\n    source: l.csv\nD.r:\n    source: r.csv\n"
+        "F:\n"
+        f"    D.joined: {inputs} | T.j\n"
+        "    D.kept: D.joined | T.some | T.by_tag\n"
+        "    D.tags: D.joined | T.per_tag | T.by_tag\n"
+        "T:\n"
+        "    some:\n        type: filter_by\n"
+        "        filter_expression: v != 0\n"
+        "    by_tag:\n        type: sort\n"
+        "        orderby_column: [tag DESC, v ASC]\n"
+        "    per_tag:\n        type: groupby\n        groupby: [tag, v]\n"
+        "        aggregates:\n"
+        "            - operator: count\n              out_field: n\n"
+        "            - operator: max\n              apply_on: w\n"
+        "              out_field: top\n"
+    )
+    tasks = registry.build_section(
+        {
+            **{name: spec.config for name, spec in flow.tasks.items()},
+            "j": join_task_config(config),
+        }
+    )
+    return build_logical_plan(build_dag(flow), tasks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(join_sides(), join_configs)
+@example(
+    (
+        Table.from_columns(
+            Schema.of("k", "k2", "v", "tag"),
+            {"k": [1, 2, None, 1], "k2": ["x"] * 4, "v": [1, 0, 2, None],
+             "tag": ["north", None, "south", "north"]},
+        ),
+        Table(
+            Schema.of("k", "k2", "v", "w"),
+            {"k": [1, True, 3, None], "k2": ["x", "x", "y", None],
+             "v": [5, 6, 7, 8], "w": [0.5, None, 1.5, 2.5]},
+        ),
+    ),
+    {"keys": "k", "join_condition": "full outer", "project": None,
+     "swapped": True},
+)
+def test_join_flow_matches_reference_on_every_executor(sides, config):
+    tables = dict(zip("lr", sides))
+    shipped = _join_plan(default_task_registry(), config)
+    reference = _join_plan(_reference_registry(), config)
+    executors = [("local", LocalExecutor(tables.__getitem__))] + [
+        (
+            f"distributed x{parallelism}",
+            DistributedExecutor(
+                tables.__getitem__,
+                num_partitions=3,
+                parallelism=parallelism,
+                executor="threads",
+            ),
+        )
+        for parallelism in (1, 4)
+    ]
+    for label, executor in executors:
+        got = executor.run(shipped, TaskContext())
+        want = executor.run(reference, TaskContext())
+        for output in ("joined", "kept", "tags"):
+            assert cells(got.table(output)) == cells(want.table(output)), (
+                label,
+                output,
+            )
+            for name in got.table(output).schema.names:
+                encoded = got.table(output).encoded_column(name)
+                if encoded is not None:  # a shadow never disagrees
+                    assert encoded.tolist() == got.table(output).column(name)
 
 
 # ---------------------------------------------------------------------------

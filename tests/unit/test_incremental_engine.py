@@ -233,3 +233,37 @@ class TestFlowDeltaStateContract:
             Delta("none", make_rows(random.Random(0), 1))
         with pytest.raises(ValueError, match="rows"):
             Delta("full")
+
+
+class TestJoinHeadedFlows:
+    def test_unhashable_probe_delta_is_a_structured_error(self):
+        from repro.errors import TaskExecutionError
+
+        join = REGISTRY.create(
+            "j", {"type": "join", "left": "l by k", "right": "r by k"}
+        )
+        left = Table.from_rows(Schema.of("k", "v"), [(1, "a")])
+        right = Table.from_rows(Schema.of("k", "w"), [(1, "p")])
+        state = FlowDeltaState([join], ["l", "r"])
+        state.advance(
+            [Delta("full", left), Delta("full", right)],
+            TaskContext(),
+            lambda: [left, right],
+        )
+        more = Table.from_rows(Schema.of("k", "v"), [([1], "b")])
+        with pytest.raises(TaskExecutionError, match="left column 'k'"):
+            state.advance(
+                [Delta("append", more), Delta("none")],
+                TaskContext(),
+                lambda: [Table.concat_all([left, more]), right],
+            )
+
+    def test_only_a_leading_join_makes_two_inputs_maintainable(self):
+        join = REGISTRY.create(
+            "j", {"type": "join", "left": "l by k", "right": "r by k"}
+        )
+        union = REGISTRY.create("u", {"type": "union"})
+        assert flow_supports_delta([join], 2)
+        assert not flow_supports_delta([union], 2)
+        with pytest.raises(ValueError, match="multi_input"):
+            FlowDeltaState([union], ["l", "r"])

@@ -260,3 +260,56 @@ class TestMisc:
 
     def test_repr_mentions_rows(self):
         assert "rows=3" in repr(make())
+
+
+class TestFromGathers:
+    """Column-by-column assembly: what ``take``, the join and the
+    group-by build their outputs with."""
+
+    def source(self):
+        return Table.from_columns(
+            Schema.of("city", "n", "odd"),
+            {"city": ["x", "y", None], "n": [1, 2, 3], "odd": [1, "a", None]},
+        )
+
+    def test_gathers_keep_encodings_and_lists_are_adopted(self):
+        source, fresh = self.source(), [10, 20]
+        out = Table.from_gathers(
+            Schema.of("where", "count", "odd", "new"),
+            [
+                (source, "city", [2, 0], False),
+                (source, "n", [2, 0], False),
+                (source, "odd", [2, 0], False),
+                fresh,
+            ],
+        )
+        assert list(out.row_tuples()) == [(None, 3, None, 10), ("x", 1, 1, 20)]
+        assert out.column("new") is fresh
+        assert out.encoded_column("where").tolist() == [None, "x"]
+        assert out.encoded_column("count").tolist() == [3, 1]
+        assert out.encoded_column("odd") is None  # boxed in the source
+
+    def test_nullable_gather_reads_minus_one_as_none(self):
+        out = Table.from_gathers(
+            Schema.of("city", "n"),
+            [
+                (self.source(), "city", [1, -1, 0], True),
+                (self.source(), "n", [1, -1, 0], True),
+            ],
+        )
+        assert list(out.row_tuples()) == [("y", 2), (None, None), ("x", 1)]
+        assert out.encoded_column("n") is None  # a plain list
+
+    def test_take_is_a_gather_of_every_column(self):
+        source = self.source()
+        assert source.take([2, 2, 0]) == Table.from_gathers(
+            source.schema,
+            [(source, name, [2, 2, 0], False) for name in source.schema.names],
+        )
+        assert source.take([]).num_rows == 0
+
+    def test_ragged_or_missing_columns_raise(self):
+        with pytest.raises(SchemaError, match="from_gathers"):
+            Table.from_gathers(Schema.of("a", "b"), [[1, 2], [1]])
+        with pytest.raises(SchemaError, match="from_gathers"):
+            Table.from_gathers(Schema.of("a", "b"), [[1, 2]])

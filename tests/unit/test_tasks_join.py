@@ -3,7 +3,8 @@
 import pytest
 
 from repro.data import Schema, Table
-from repro.errors import TaskConfigError
+from repro.data.encodings import DictColumn
+from repro.errors import TaskConfigError, TaskExecutionError
 from repro.tasks.base import TaskContext
 from repro.tasks.join import JoinTask
 
@@ -58,10 +59,10 @@ class TestJoinSemantics:
 
     def test_right_outer(self, players, team_players):
         out = make("right outer").apply([players, team_players], ctx())
-        players_seen = out.column("player")
-        # Raina has no tweets: appears with None left columns.
-        assert None in out.column("date")
-        assert out.num_rows == 3
+        # Raina has no tweets: appears last, under her own key, with
+        # None in the other left columns.
+        assert out.column("player") == ["Dhoni", "Kohli", "Raina"]
+        assert out.column("date") == ["d1", "d1", None]
 
     def test_full_outer(self, players, team_players):
         out = make("full outer").apply([players, team_players], ctx())
@@ -142,6 +143,108 @@ class TestJoinSemantics:
         )
         assert "date" in out.schema  # left columns present
         assert out.num_rows == 2
+
+
+class TestOuterJoinKeepsRightKeys:
+    """An unmatched right row must not lose its join key: the default
+    projection drops the right key columns, so the key travels in the
+    left ones."""
+
+    @pytest.mark.parametrize("condition", ["right outer", "full outer"])
+    def test_unmatched_right_row_carries_its_key(self, condition):
+        task = JoinTask(
+            "j",
+            {"left": "l by k", "right": "r by k", "join_condition": condition},
+        )
+        left = Table.from_rows(Schema.of("k", "v"), [(1, "a"), (2, "b")])
+        right = Table.from_rows(Schema.of("k", "w"), [(1, "p"), (3, "q")])
+        out = task.apply([left, right], ctx(("l", "r")))
+        assert list(out.row_tuples())[-1] == (3, None, "q")
+
+    def test_composite_and_renamed_keys_coalesce(self, team_players):
+        task = JoinTask(
+            "j",
+            {
+                "left": "l by name, club",
+                "right": "team_players by player, team",
+                "join_condition": "right outer",
+            },
+        )
+        left = Table.from_rows(
+            Schema.of("name", "club", "n"), [("Dhoni", "CSK", 5)]
+        )
+        out = task.apply([left, team_players], ctx(("l", "team_players")))
+        assert out.schema.names == ["name", "club", "n", "player_id"]
+        assert list(out.row_tuples()) == [
+            ("Dhoni", "CSK", 5, 1),
+            ("Kohli", "RCB", None, 2),
+            ("Raina", "CSK", None, 3),
+        ]
+
+    def test_project_does_not_coalesce(self, players, team_players):
+        project = {"players_tweets_player": "p", "team_players_player": "q"}
+        out = make("right outer", project).apply(
+            [players, team_players], ctx()
+        )
+        assert list(out.row_tuples())[-1] == (None, "Raina")
+
+
+class TestTypedColumnsSurvive:
+    def test_join_output_keeps_encodings_and_order(self):
+        left = Table.from_columns(
+            Schema.of("k", "city", "n"),
+            {"k": [2, 1, 2, 9], "city": ["x", "y", "x", None],
+             "n": [1.5, None, 2.5, 3.5]},
+        )
+        right = Table.from_columns(
+            Schema.of("k", "team"), {"k": [1, 2, 2], "team": ["a", "b", "c"]}
+        )
+        task = JoinTask("j", {"left": "l by k", "right": "r by k"})
+        context = ctx(("l", "r"))
+        out = task.apply([left, right], context)
+        assert list(out.row_tuples()) == [
+            (2, "x", 1.5, "b"), (2, "x", 1.5, "c"), (1, "y", None, "a"),
+            (2, "x", 2.5, "b"), (2, "x", 2.5, "c"),
+        ]
+        assert context.counters["task.j.pairs"] == 5
+        for name in out.schema.names:
+            encoded = out.encoded_column(name)
+            assert encoded is not None, name
+            assert encoded.tolist() == out.column(name)
+        assert isinstance(out.encoded_column("team"), DictColumn)
+        # downstream kernels may now run on codes: same rows either way
+        boxed = Table(out.schema, {n: out.column(n) for n in out.schema.names})
+        assert out.sorted_by(["team", "n"]) == boxed.sorted_by(["team", "n"])
+
+
+class TestStructuredErrors:
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_unhashable_key_names_task_side_and_column(self, side):
+        good = Table.from_rows(Schema.of("k", "v"), [(1, "a")])
+        bad = Table.from_rows(Schema.of("k", "v"), [(1, "a"), ([1], "b")])
+        inputs = [bad, good] if side == "left" else [good, bad]
+        task = JoinTask("j", {"left": "l by k", "right": "r by k"})
+        with pytest.raises(TaskExecutionError) as raised:
+            task.apply(inputs, ctx(("l", "r")))
+        message = str(raised.value)
+        assert "'j'" in message and f"{side} column 'k'" in message
+        assert "[1]" in message and "unhashable" in message
+
+    def test_duplicate_project_output_fails_validation(self):
+        with pytest.raises(TaskConfigError, match="twice"):
+            make("inner", {
+                "players_tweets_player": "name",
+                "team_players_team": "name",
+            })
+
+
+class TestInputNames:
+    def test_declared_empty_and_pickled_with_the_context(self):
+        import pickle
+
+        assert TaskContext().input_names == []
+        shipped = pickle.loads(pickle.dumps(ctx(("b", "a"))))
+        assert shipped.input_names == ["b", "a"]
 
 
 class TestProjection:
