@@ -352,6 +352,10 @@ def _cmd_refresh(args) -> int:
             f"{len(result.flows_skipped)} skipped flow(s); "
             f"changed: {', '.join(result.endpoints_changed) or '-'}"
             + "".join(
+                f"; {source} reloaded: {reason}"
+                for source, reason in sorted(result.source_reloads.items())
+            )
+            + "".join(
                 f"; {flow} fell back: {reason}"
                 for flow, reason in sorted(result.fallback_reasons.items())
             ),

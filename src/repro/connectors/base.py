@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from repro.data import Table
 from repro.errors import ConnectorError
@@ -52,12 +52,15 @@ class DeltaFetch:
       holds the whole current payload and downstream state must reset.
 
     ``cursor`` is the new opaque cursor to hand back on the next call.
+    ``reason`` says why a ``"full"`` fetch is no append (the vocabulary
+    is in ``docs/incremental.md``).
     """
 
     mode: str
     cursor: Any
     payload: bytes | None = None
     metadata: dict[str, Any] = field(default_factory=dict)
+    reason: str | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in ("none", "append", "full"):
@@ -84,9 +87,13 @@ class Connector(abc.ABC):
         """Fetch the payload described by the data-object ``config``."""
 
     def fetch_delta(
-        self, config: Mapping[str, Any], cursor: Any = None
+        self,
+        config: Mapping[str, Any],
+        cursor: Any = None,
+        resume: Callable[[bytes], int | None] | None = None,
     ) -> DeltaFetch:
-        """Fetch only what changed since ``cursor``.
+        """Fetch only what changed since ``cursor``; ``resume(data)``
+        says where in the bytes read the next append resumes.
 
         The default implementation is the honest fallback: every call is
         a full fetch with a ``None`` cursor, so callers that probe
@@ -103,6 +110,7 @@ class Connector(abc.ABC):
             cursor=None,
             payload=result.payload,
             metadata=dict(result.metadata),
+            reason="no_delta_format",
         )
 
     def store(self, config: Mapping[str, Any], payload: bytes) -> None:

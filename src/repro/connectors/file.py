@@ -13,11 +13,20 @@ without being held in memory.
 
 from __future__ import annotations
 
+import hashlib
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 from repro.connectors.base import Connector, DeltaFetch, FetchResult
 from repro.errors import ConnectorError
+
+#: bytes before a resume offset whose digest must match before an append
+_BLOCK = 4096
+
+
+def _digest(data: bytes, end: int) -> str:
+    block = data[max(0, end - _BLOCK):end]
+    return hashlib.blake2b(block, digest_size=16).hexdigest()
 
 
 class FileConnector(Connector):
@@ -76,21 +85,23 @@ class FileConnector(Connector):
         return chunks()
 
     def fetch_delta(
-        self, config: Mapping[str, Any], cursor: Any = None
+        self,
+        config: Mapping[str, Any],
+        cursor: Any = None,
+        resume: Callable[[bytes], int | None] | None = None,
     ) -> DeltaFetch:
-        """Bytes written since ``cursor``, by offset + mtime tracking.
+        """Bytes written since ``cursor``, behind a verified resume point.
 
-        The cursor is ``{"offset", "mtime_ns", "size"}`` from the last
-        read.  Decision table:
-
-        * no cursor — first read: full payload, fresh cursor;
-        * size and mtime unchanged — ``"none"``, nothing to decode;
-        * file grew — ``"append"`` with only the tail bytes.  The
-          size-recheck after reading guards the race where a writer
-          appends between stat and read;
-        * file shrank, or same size with a different mtime (rewritten
-          in place) — ``"full"``: append-only bookkeeping can't
-          describe it, downstream state must reset.
+        The cursor holds the ``size`` and ``mtime_ns`` seen last, the
+        ``offset`` where appends resume (``resume(data)`` names it in
+        the bytes read; ``None``: nowhere) and a ``digest`` of the
+        ≤ 4 KiB block ending there.  Size and mtime as seen is
+        ``"none"``; growth whose block kept its digest is an
+        ``"append"`` of the bytes from the resume offset on; anything
+        else is ``"full"`` with a ``reason``: ``first_read``,
+        ``shrunk``, ``rewritten`` (same size, new mtime),
+        ``no_delta_format`` (no resume offset) or ``prefix_changed``
+        (rewritten in place to a larger size).
         """
         path = self._resolve(config)
         if not path.exists():
@@ -110,43 +121,47 @@ class FileConnector(Connector):
                     f"cannot read {path}: {exc}"
                 ) from exc
 
-        def _cursor(data_end: int, mtime_ns: int) -> dict[str, int]:
-            return {
-                "offset": data_end,
-                "mtime_ns": mtime_ns,
-                "size": data_end,
-            }
-
-        if isinstance(cursor, Mapping) and "offset" in cursor:
-            offset = int(cursor["offset"])
-            mtime_ns = int(cursor.get("mtime_ns", -1))
-            if (
-                stat.st_size == offset
-                and stat.st_mtime_ns == mtime_ns
-            ):
+        reason, start, at = "first_read", 0, 0
+        try:
+            size, offset = int(cursor["size"]), cursor["offset"]
+            seen, digest = (size, int(cursor["mtime_ns"])), cursor["digest"]
+        except (KeyError, TypeError, ValueError):
+            pass
+        else:
+            if (stat.st_size, stat.st_mtime_ns) == seen:
                 return DeltaFetch(
                     mode="none",
                     cursor=dict(cursor),
                     metadata={"path": str(path)},
                 )
-            if stat.st_size > offset:
-                tail = _read(offset)
-                return DeltaFetch(
-                    mode="append",
-                    cursor=_cursor(offset + len(tail), stat.st_mtime_ns),
-                    payload=tail,
-                    metadata={
-                        "path": str(path),
-                        "size": len(tail),
-                        "offset": offset,
-                    },
-                )
-        payload = _read(0)
+            if stat.st_size <= size:
+                reason = "shrunk" if stat.st_size < size else "rewritten"
+            elif offset is None:
+                reason = "no_delta_format"
+            else:  # re-read from the block before the resume offset
+                start = max(0, offset - _BLOCK)
+                data, at = _read(start), offset - start
+                same = _digest(data, at) == digest
+                reason = None if same else "prefix_changed"
+        if reason is not None:
+            data, start, at = _read(0), 0, 0
+        payload = data[at:]
+        end = (resume or len)(payload)
+        end = None if end is None else at + end
+        offset = None if end is None else start + end
         return DeltaFetch(
-            mode="full",
-            cursor=_cursor(len(payload), stat.st_mtime_ns),
+            mode="append" if reason is None else "full",
+            cursor={
+                "size": start + len(data),
+                "mtime_ns": stat.st_mtime_ns,
+                "offset": offset,
+                "digest": None if end is None else _digest(data, end),
+            },
             payload=payload,
-            metadata={"path": str(path), "size": len(payload)},
+            metadata={
+                "path": str(path), "size": len(payload), "resume": offset,
+            },
+            reason=reason,
         )
 
     def estimate_bytes(self, config: Mapping[str, Any]) -> int | None:

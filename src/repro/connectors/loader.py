@@ -50,6 +50,7 @@ from repro.observability.instruments import (
     CONNECTOR_BYTES,
     CONNECTOR_FETCH_DURATION,
     CONNECTOR_FETCHES,
+    INGEST_DELTA_RELOADS,
     INGEST_PARALLEL_FALLBACK,
     record_encode_fallbacks,
     record_ingest,
@@ -67,8 +68,8 @@ class DeltaLoad:
     * ``"none"`` — nothing changed; ``table`` is ``None``.
     * ``"append"`` — ``table`` holds *only the new rows* since the last
       state.
-    * ``"full"`` — ``table`` holds the whole current source (first load,
-      rewritten file, or a connector/format without delta support).
+    * ``"full"`` — ``table`` holds the whole current source; ``reason``
+      says why (``docs/incremental.md`` has the vocabulary).
 
     ``state`` is the opaque token to hand back on the next call; callers
     persist it per source between refresh cycles.
@@ -77,6 +78,7 @@ class DeltaLoad:
     mode: str
     table: Table | None
     state: dict[str, Any] | None = field(default=None)
+    reason: str | None = None
 
 
 class DataObjectLoader:
@@ -155,58 +157,55 @@ class DataObjectLoader:
     ) -> DeltaLoad:
         """Load only what changed since ``state`` (delta ingestion).
 
-        The delta path needs a delta-capable connector (file: byte
-        offset + mtime cursors) *and* a delta-capable format (a byte
-        suffix decodes to the trailing rows: CSV, JSON lines).  Anything
-        else degrades to a plain :meth:`load` reported as ``"full"``
-        with no state, so callers can probe any source safely.
-
-        Appended bytes are decoded as ``preamble + tail`` — the header
-        captured at the last full read prefixed to the new bytes — so
-        the *unchanged* decode path produces exactly the appended rows,
-        byte-identically to how those rows decode inside a full read.
+        The delta path needs a delta-capable connector (file: size,
+        mtime and a verified resume offset).  The format, through its
+        ``delta_*`` hooks, says where appends resume and how appended
+        bytes become a payload its *unchanged* ``decode`` turns into
+        exactly the appended rows (CSV: header + new lines; a JSON
+        array: ``[`` + new elements + ``]``).  Any doubt is a full
+        reload with a ``reason``; a connector without deltas degrades
+        to a plain :meth:`load` with no state, so callers can probe any
+        source safely.
         """
         protocol = infer_protocol(config)
         connector = self.connectors.get(protocol)
+        if not getattr(connector, "supports_delta", False):
+            load = DeltaLoad("full", self.load(schema, config))
+            return self._reloaded(load, "no_delta_format")
         format_name = infer_format(config)
-        try:
-            fmt = self.formats.get(format_name)
-        except Exception:
-            fmt = None
-        if (
-            not getattr(connector, "supports_delta", False)
-            or fmt is None
-            or not getattr(fmt, "supports_delta", False)
-        ):
-            return DeltaLoad(
-                mode="full", table=self.load(schema, config), state=None
-            )
+        fmt = self.formats.get(format_name)
         state = dict(state or {})
-        if not state.get("aligned", True):
-            # The last read ended mid-line (no trailing newline), so an
-            # appended suffix would join that partial row.  Dropping the
-            # cursor turns the next fetch into a full read.
-            state.pop("cursor", None)
         obs = self.observability
-        with obs.tracer.span(
-            "connector.fetch",
-            protocol=protocol,
-            source=str(config.get("source", "")),
-            delta=True,
-        ) as span:
-            delta = connector.fetch_delta(config, state.get("cursor"))
-            payload_len = (
-                len(delta.payload) if delta.payload is not None else 0
-            )
-            span.set(bytes=payload_len, mode=delta.mode)
-        self._record_fetch(protocol, span.duration, payload_len)
+
+        def fetch(cursor: Any) -> Any:
+            with obs.tracer.span(
+                "connector.fetch",
+                protocol=protocol,
+                source=str(config.get("source", "")),
+                delta=True,
+            ) as span:
+                delta = connector.fetch_delta(
+                    config,
+                    cursor,
+                    lambda data: fmt.delta_resume(data, options=config),
+                )
+                payload_len = len(delta.payload or b"")
+                span.set(bytes=payload_len, mode=delta.mode)
+            self._record_fetch(protocol, span.duration, payload_len)
+            return delta
+
+        delta = fetch(state.get("cursor"))
         if delta.mode == "none":
             return DeltaLoad(mode="none", table=None, state=state)
+        payload = delta.payload
         if delta.mode == "append":
-            preamble = state.get("preamble", b"")
-            payload = preamble + (delta.payload or b"")
-        else:
-            payload = delta.payload or b""
+            payload = fmt.delta_payload(
+                state.get("preamble", b""), payload, options=config
+            )
+            if payload is None:
+                delta = fetch(None)
+                delta.reason, payload = "tail_unparseable", delta.payload
+        if delta.mode == "full":
             state["preamble"] = payload[
                 : fmt.delta_preamble(payload, options=config)
             ]
@@ -222,9 +221,21 @@ class DataObjectLoader:
             obs.metrics, format_name, table.encode_fallbacks
         )
         state["cursor"] = delta.cursor
-        raw = delta.payload or b""
-        state["aligned"] = (not raw) or raw.endswith(b"\n")
-        return DeltaLoad(mode=delta.mode, table=table, state=state)
+        # whether the next append can resume where this read stopped
+        state["aligned"] = delta.metadata.get("resume") is not None
+        return self._reloaded(
+            DeltaLoad(delta.mode, table, state), delta.reason
+        )
+
+    def _reloaded(self, load: DeltaLoad, reason: str | None) -> DeltaLoad:
+        """Count a ``"full"`` delta load by its reason."""
+        if load.mode == "full":
+            load.reason = reason
+            self.observability.metrics.counter(
+                INGEST_DELTA_RELOADS,
+                "Delta-tracked sources reloaded in full, by reason",
+            ).inc(reason=reason)
+        return load
 
     def load_many(
         self,
@@ -418,17 +429,6 @@ class DataObjectLoader:
             "source": str(config.get("source", "")),
             "stream": self._stream_plan(connector, config),
         }
-
-    def _load_unit(
-        self, plan: Mapping[str, Any]
-    ) -> tuple[dict[str, Any], Table | None, Exception | None]:
-        """Pure fetch+decode for one spec (worker-side; no telemetry)."""
-        return _LoadUnit(plan, self.formats)()
-
-    def _fetch_decode(
-        self, plan: Mapping[str, Any], state: dict[str, Any]
-    ) -> Table:
-        return _fetch_decode(plan, state, self.formats)
 
     def _replay_unit(
         self,

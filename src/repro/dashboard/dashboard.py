@@ -86,6 +86,10 @@ class RefreshReport:
     #: unsupported_task, upstream_recompute (empty on a "full" refresh)
     flows_full: list[str] = field(default_factory=list)
     fallback_reasons: dict[str, str] = field(default_factory=dict)
+    #: sources re-read whole instead of by delta, and why each one was:
+    #: first_read, no_delta_format, shrunk, rewritten, prefix_changed,
+    #: tail_unparseable
+    source_reloads: dict[str, str] = field(default_factory=dict)
     #: flows whose inputs were unchanged (no work at all)
     flows_skipped: list[str] = field(default_factory=list)
     #: endpoints whose tables changed (version bumped)
@@ -388,7 +392,7 @@ class Dashboard:
         deltas: dict[str, "Delta"] = {}
         with self.observability.tracer.span("refresh.sources"):
             for name in sorted(self.compiled.dag.sources):
-                deltas[name] = self._source_delta(name)
+                deltas[name] = self._source_delta(name, report)
                 if deltas[name].kind == "append":
                     report.delta_rows += deltas[name].rows.num_rows
         reasons = report.fallback_reasons
@@ -453,7 +457,7 @@ class Dashboard:
             with self.observability.tracer.span("cubes.rebuild"):
                 self._rebuild_cubes()
 
-    def _source_delta(self, name: str):
+    def _source_delta(self, name: str, report: RefreshReport):
         """How one external source changed since the last cycle."""
         from repro.engine.incremental import Delta
 
@@ -471,6 +475,8 @@ class Dashboard:
             self._delta_states[name] = load.state
             if load.mode == "none":
                 return Delta("none")
+            if load.mode == "full":
+                report.source_reloads[name] = load.reason
             prior = self._source_tables.get(name)
             if load.mode == "append" and prior is not None:
                 load_delta = Delta("append", load.table)

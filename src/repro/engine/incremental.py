@@ -13,38 +13,43 @@ re-applied to the whole (base + delta) input.  The arguments, per
 operator family:
 
 * *Row-local tasks* (``partition_local()`` — filter/map/project/rename/
-  add_column/cast/constant-fillna) transform rows independently, so
+  add_column/cast/constant-fillna, and a ``parallel`` task whose
+  sub-tasks are all row-local) transform rows independently, so
   applying them to just the delta rows and appending equals applying
-  them to the whole input.
+  them to the whole input.  Every map operator qualifies, user-
+  registered ones included: ``MapTask.partition_local()`` is always
+  true.
 * *Limit* only needs a count of rows already emitted.
-* *Sort* relies on stability: ``stable_sort(stable_sort(base) ++
-  delta)`` equals ``stable_sort(base ++ delta)`` because tied base rows
-  keep their original relative order inside the sorted base, and base
-  rows precede delta rows in both arrangements.
-* *Top-n* (ungrouped) maintains the full sorted run by the sort
-  argument and emits its head; the heap kernel it replaces is
-  documented equivalent to ``sorted(...)[:n]``.
+* *Sort* and *top-n* (grouped or not) keep their output and re-apply
+  the task to ``output ++ delta``.  Stability makes that exact:
+  ``stable_sort(stable_sort(base) ++ delta)`` equals
+  ``stable_sort(base ++ delta)`` because tied base rows keep their
+  original relative order inside the sorted base, and base rows
+  precede delta rows in both arrangements; a per-group top-n keeps
+  first-seen group order and drops only rows that can never rank
+  again.
 * *Group-by* keeps one live :class:`~repro.tasks.groupby.Aggregate`
   per (group, spec) and feeds delta values in row order.  The builtin
   aggregates are left folds from the same identity the bulk fast paths
   use (``sum()`` is a left fold from 0; min/max keep the first minimal
   element), so merged partials are value-identical to a bulk pass, and
   first-seen group order over base-then-delta matches a full pass over
-  the concatenated input.
+  the concatenated input.  Count-only group-bys keep a ``Counter``.
 
 * *Join* at the head of a two-input flow is maintained on its probe
   (left) side only — see :class:`_JoinState`.
 
 Anything outside this vocabulary — unions and other multi-input flows,
 widget-sourced filters (selection state may have changed since the base
-rows were filtered), grouped top-n, UDFs, user-registered aggregates or
-map operators — has no state, and :func:`fallback_reason` says why the
-flow is full-recompute-only.  Falling back is always safe; the
-states are a fast path, never a correctness requirement.
+rows were filtered), UDFs, user-registered aggregates — has no state,
+and :func:`fallback_reason` says why the flow is full-recompute-only.
+Falling back is always safe; the states are a fast path, never a
+correctness requirement.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
@@ -69,6 +74,7 @@ from repro.tasks.misc import (
     RenameTask,
     SortTask,
 )
+from repro.tasks.parallel import ParallelTask
 from repro.tasks.topn import TopNTask
 
 #: Tasks whose ``partition_local()`` contract makes them row-local:
@@ -146,16 +152,17 @@ class _LimitState(_TaskState):
         return Delta("append", out)
 
 
-class _SortState(_TaskState):
-    """Keeps the sorted output; appends merge via a near-linear re-sort.
+class _KeepOutputState(_TaskState):
+    """Sort and top-n: keep the output, re-apply the task to output ++ Δ.
 
-    Timsort on ``sorted_base ++ delta`` finds one long ascending run, so
-    the merge costs O(n + k log k) rather than a full O(n log n) sort —
-    and stability makes the result byte-identical to sorting the
-    original input (see the module docstring).
+    Exact by stability (see the module docstring): a tied base row keeps
+    its relative order inside the output and precedes every delta row,
+    in both arrangements.  For a sort, timsort finds the output as one
+    long run, so the merge costs O(n + k log k); a top-n keeps at most
+    ``limit`` rows per group.
     """
 
-    def __init__(self, task: SortTask):
+    def __init__(self, task: Task):
         super().__init__(task)
         self._output: Table | None = None
 
@@ -168,34 +175,22 @@ class _SortState(_TaskState):
         return Delta("full", self._output)
 
 
-class _TopNState(_TaskState):
-    """Ungrouped top-n: maintain the full sorted run, emit its head."""
-
-    def __init__(self, task: TopNTask):
-        super().__init__(task)
-        self._run: Table | None = None
-
-    def step(self, delta: Delta, context: TaskContext) -> Delta:
-        task = self.task
-        if delta.kind == "full" or self._run is None:
-            source = delta.rows
-        else:
-            source = Table.concat_all([self._run, delta.rows])
-        self._run = source.sorted_by(
-            [c for c, _d in task._order], [d for _c, d in task._order]
-        )
-        out = self._run.head(task._limit)
-        context.bump(f"task.{task.name}.rows_out", out.num_rows)
-        return Delta("full", out)
-
-
 class _GroupByState(_TaskState):
-    """Live aggregates per (group, spec), in first-seen group order."""
+    """Live aggregates per (group, spec), in first-seen group order.
+
+    A group-by of nothing but the built-in ``count`` keeps one
+    :class:`~collections.Counter` of keys instead — the task's own
+    count kernel, with its key equality and first-seen order — so a
+    ``full`` delta costs one C-speed pass and no row is folded twice.
+    """
 
     def __init__(self, task: GroupByTask):
         super().__init__(task)
         self._specs = task._aggregate_specs()
         self._out_fields = [_out_field(s) for s in self._specs]
+        self._counts_only = {
+            str(s["operator"]).lower() for s in self._specs
+        } == {"count"}
         self._reset()
 
     def _reset(self) -> None:
@@ -203,19 +198,21 @@ class _GroupByState(_TaskState):
         self._index: dict[Any, int] = {}
         # _aggs[spec_position][group_position] — parallel to _keys.
         self._aggs: list[list[Any]] = [[] for _ in self._specs]
+        self._counts: Counter = Counter()
         self._input_schema = None
         #: rows of the last ``full`` delta, not yet folded into _aggs
         self._pending: Table | None = None
 
     def step(self, delta: Delta, context: TaskContext) -> Delta:
         if delta.kind == "full":
-            # A replaced input is answered by the task's bulk kernels;
-            # the row-at-a-time live aggregates are only worth building
-            # if an append ever follows (behind a sort none does).
             self._reset()
-            self._pending = delta.rows
-            return Delta("full", self.task.apply([delta.rows], context))
-        if self._pending is not None:
+            if not self._counts_only:
+                # A replaced input is answered by the task's bulk
+                # kernels; the row-at-a-time live aggregates are only
+                # worth building if an append ever follows.
+                self._pending = delta.rows
+                return Delta("full", self.task.apply([delta.rows], context))
+        elif self._pending is not None:
             self._ingest(self._pending)
             self._pending = None
         self._ingest(delta.rows)
@@ -229,6 +226,15 @@ class _GroupByState(_TaskState):
         self._input_schema = rows.schema
         group_cols = [rows.column(c) for c in group_columns]
         single = len(group_columns) == 1
+        if self._counts_only:
+            try:
+                self._counts.update(
+                    group_cols[0] if single else zip(*group_cols)
+                )
+            except TypeError:
+                task.check_hashable(rows)
+                raise
+            return
         value_cols = [
             rows.column(str(s["apply_on"])) if "apply_on" in s else None
             for s in self._specs
@@ -261,21 +267,25 @@ class _GroupByState(_TaskState):
     def _emit(self, context: TaskContext) -> Table:
         task = self.task
         group_columns = task.group_columns
-        data: dict[str, list[Any]] = {}
+        if self._counts_only:
+            keys = list(self._counts)
+            results = [list(self._counts.values()) for _ in self._specs]
+        else:
+            keys = self._keys
+            results = [[agg.result() for agg in aggs] for aggs in self._aggs]
+        data: dict[str, list[Any]] = dict(zip(self._out_fields, results))
         if len(group_columns) == 1:
-            data[group_columns[0]] = list(self._keys)
+            data[group_columns[0]] = list(keys)
         else:
             for j, column in enumerate(group_columns):
-                data[column] = [key[j] for key in self._keys]
-        for out_field, aggs in zip(self._out_fields, self._aggs):
-            data[out_field] = [agg.result() for agg in aggs]
+                data[column] = [key[j] for key in keys]
         schema = task.output_schema([self._input_schema])
         result = Table(schema, {n: data[n] for n in schema.names})
         if _truthy(task.config.get("orderby_aggregates")):
             result = result.sorted_by(
                 [self._out_fields[0]], descending=[True]
             )
-        context.bump(f"task.{task.name}.groups", len(self._keys))
+        context.bump(f"task.{task.name}.groups", len(keys))
         return result
 
 
@@ -338,14 +348,16 @@ def _state_for(task: Task) -> _TaskState | None:
         return None
     if isinstance(task, LimitTask):
         return _LimitState(task)
-    if isinstance(task, SortTask):
-        return _SortState(task)
-    if isinstance(task, TopNTask):
-        if task.group_columns:
-            return None
-        return _TopNState(task)
+    if isinstance(task, (SortTask, TopNTask)):
+        return _KeepOutputState(task)
     if isinstance(task, FilterTask) and task.widget_source is not None:
         return None
+    if isinstance(task, ParallelTask):
+        row_local = all(
+            isinstance(_state_for(sub), _RowLocalState)
+            for sub in task._sub_tasks()
+        )
+        return _RowLocalState(task) if row_local else None
     if isinstance(task, _ROW_LOCAL_TYPES) and task.partition_local():
         return _RowLocalState(task)
     return None

@@ -39,27 +39,34 @@ class Format(abc.ABC):
     #: addition to ``bytes`` (the streaming ingestion fast path).
     supports_chunks: bool = False
 
-    #: Whether a byte-level *suffix* of a payload decodes to exactly the
-    #: trailing rows (line-oriented formats: CSV, JSON lines).  Formats
-    #: with framing that spans the whole payload (a JSON array, XML,
-    #: fixed-width with a footer) leave this False and delta ingestion
-    #: falls back to full decodes for them.
-    supports_delta: bool = False
+    # -- delta ingestion: where appends resume, the preamble they need,
+    # and how appended bytes become a payload ``decode`` turns into
+    # exactly the appended rows.  The loader knows no format.
+
+    def delta_resume(
+        self, data: bytes, options: Mapping[str, Any] | None = None
+    ) -> int | None:
+        """Offset in ``data`` — a whole payload, or the bytes a source
+        grew by from the last resume offset — where later bytes resume;
+        ``None`` (the default, for XML, Avro): nowhere."""
+        return None
 
     def delta_preamble(
-        self,
-        payload: bytes,
-        options: Mapping[str, Any] | None = None,
+        self, payload: bytes, options: Mapping[str, Any] | None = None
     ) -> int:
-        """Length of the prefix that must precede any appended suffix.
-
-        For delta-capable formats this is the byte length of the header
-        (CSV with ``header: true``), so the loader can decode
-        ``payload[:preamble] + appended_bytes`` through the *unchanged*
-        decode path and get exactly the appended rows.  Formats without
-        a header return 0.
-        """
+        """Length of the prefix of a whole ``payload`` that appended
+        bytes need in front of them to decode (a CSV header); 0 here."""
         return 0
+
+    def delta_payload(
+        self,
+        preamble: bytes,
+        tail: bytes,
+        options: Mapping[str, Any] | None = None,
+    ) -> bytes | None:
+        """What to decode for ``tail``, the bytes from the last resume
+        offset to the end; ``None``: no clean append, reload in full."""
+        return preamble + tail
 
     @abc.abstractmethod
     def decode(
@@ -141,6 +148,12 @@ def coerce_cells(values: list, memo: dict | None = None) -> list:
             memo[value] = coerced
         append(coerced)
     return out
+
+
+def line_resume(data: bytes) -> int | None:
+    """:meth:`Format.delta_resume` of line formats: the end of ``data``,
+    unless it stops mid-line (an append would then join that row)."""
+    return len(data) if not data or data.endswith(b"\n") else None
 
 
 def payload_bytes(payload: Payload) -> bytes:

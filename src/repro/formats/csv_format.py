@@ -26,13 +26,16 @@ from repro.formats.base import (
     Payload,
     coerce_cells,
     iter_decoded_lines,
+    line_resume,
 )
 
 
 class CsvFormat(Format):
     name = "csv"
     supports_chunks = True
-    supports_delta = True
+
+    def delta_resume(self, data, options=None):
+        return line_resume(data)
 
     def delta_preamble(
         self,

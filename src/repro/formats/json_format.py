@@ -21,6 +21,7 @@ byte chunks and decodes line by line without holding the payload.
 from __future__ import annotations
 
 import json
+import re
 from typing import Any, Iterable, Iterator, Mapping
 
 from repro.data import Schema, Table
@@ -30,15 +31,54 @@ from repro.formats.base import (
     Payload,
     decode_payload_text,
     iter_decoded_lines,
+    line_resume,
 )
 from repro.formats.jsonpath import compile_path, extract_path
 
 
 _WRAPPER_FIELDS = ("items", "results", "data", "rows")
 
+_JSON_WS = b" \t\n\r"
+#: ``str.splitlines`` boundaries in UTF-8, where the JSON-lines fallback
+#: of :func:`_documents` splits
+_LINE_BREAKS = (b"\n", b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e",
+                b"\xc2\x85", b"\xe2\x80\xa8", b"\xe2\x80\xa9")
+_TAIL = re.compile(rb"[ \t\n\r]*,(.*)\][ \t\n\r]*", re.DOTALL)
+
 
 class JsonFormat(Format):
+    """Registered as ``json``.  A top-level UTF-8 array without ``root``
+    takes appends the way writers keep it valid — its closing ``]``
+    overwritten by ``, <new elements>]`` — so that ``]`` is where
+    appends resume, and the tail decodes as ``[`` + elements + ``]``."""
+
     name = "json"
+
+    def delta_resume(self, data, options=None):
+        """The closing ``]`` of a whole array, or of a tail continuing
+        one (:meth:`delta_payload` checks the tail's elements)."""
+        options = options or {}
+        encoding = str(options.get("encoding", "utf-8")).lower()
+        body = data.strip(_JSON_WS)
+        if (
+            options.get("root")
+            or encoding.replace("_", "-") not in ("utf-8", "utf8")
+            or not body.endswith(b"]")
+        ):
+            return None
+        if body[:1] == b"," or (body[:1] == b"[" and _one_array(body)):
+            return len(data.rstrip(_JSON_WS)) - 1
+        return None
+
+    def delta_payload(self, preamble, tail, options=None):
+        match = _TAIL.fullmatch(tail)  # <ws>,<elements>]<ws>
+        if match is None:
+            return None
+        payload = b"[" + match.group(1) + b"]"
+        try:  # the elements must parse as a non-empty list
+            return payload if json.loads(payload.decode("utf-8")) else None
+        except ValueError:
+            return None
 
     def decode(
         self,
@@ -79,7 +119,10 @@ class JsonLinesFormat(JsonFormat):
     supports_chunks = True
     # Line-delimited: any byte suffix starting on a line boundary
     # decodes to exactly the trailing rows, with no header preamble.
-    supports_delta = True
+    delta_payload = Format.delta_payload
+
+    def delta_resume(self, data, options=None):
+        return line_resume(data)
 
     def decode(
         self,
@@ -212,6 +255,23 @@ def _documents(text: str, root: str | None) -> Iterable[Any]:
     except json.JSONDecodeError:
         return _jsonl_documents(stripped)
     return _single_document(parsed, root)
+
+
+def _one_array(body: bytes) -> bool:
+    """Whether ``body`` — a whole payload that decoded, stripped, from
+    ``[`` to ``]`` — is one non-empty array, not ``[]`` or JSON lines:
+    those decode only after the whole parse failed, and then their
+    first line parses alone (no second parse of the whole payload)."""
+    if not body[1:-1].strip(_JSON_WS):
+        return False
+    ends = [i for i in map(body.find, _LINE_BREAKS) if i >= 0]
+    if not ends:
+        return True
+    try:
+        json.loads(body[: min(ends)].decode("utf-8").strip())
+    except ValueError:
+        return True
+    return False
 
 
 def _single_document(parsed: Any, root: str | None) -> Iterable[Any]:

@@ -34,6 +34,7 @@ CONNECTOR_BYTES = "repro_connector_bytes_total"
 INGEST_ROWS = "repro_ingest_rows_total"
 INGEST_DECODE_DURATION = "repro_ingest_decode_seconds"
 INGEST_PARALLEL_FALLBACK = "repro_ingest_parallel_fallback_total"
+INGEST_DELTA_RELOADS = "repro_ingest_delta_reloads_total"
 HTTP_REQUESTS = "repro_http_requests_total"
 HTTP_REQUEST_DURATION = "repro_http_request_duration_seconds"
 ENDPOINT_QUERIES = "repro_endpoint_queries_total"

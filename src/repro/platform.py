@@ -413,6 +413,7 @@ class Platform:
                 "flows_incremental": list(report.flows_incremental),
                 "flows_full": list(report.flows_full),
                 "fallback_reasons": dict(report.fallback_reasons),
+                "source_reloads": dict(report.source_reloads),
                 "flows_skipped": list(report.flows_skipped),
                 "endpoints_changed": list(report.endpoints_changed),
                 "trace_id": report.trace_id,

@@ -115,12 +115,3 @@ class TopNTask(Task):
         result = table.take(kept)
         context.bump(f"task.{self.name}.rows_out", result.num_rows)
         return result
-
-
-def _rank_positions(
-    table: Table, keys: list[str], descending: list[bool]
-) -> list[int]:
-    """Positions of table rows in sorted order (stable)."""
-    return argsort(
-        table.num_rows, [table.column(k) for k in keys], descending
-    )

@@ -136,6 +136,75 @@ class TestIncrementalRefresh:
         theirs = fresh_full_run(tmp_path).endpoint("top")
         assert mine.to_json_records() == theirs.to_json_records()
 
+    def test_larger_in_place_rewrite_is_not_read_as_an_append(
+        self, tmp_path
+    ):
+        write_games(tmp_path, [("CSK", 120)])
+        platform = make_platform(tmp_path)
+        platform.refresh_dashboard("ipl")  # bootstrap cycle
+        # Rewritten, not appended to: the bytes the cursor had seen are
+        # gone, although the file grew past them.
+        write_games(tmp_path, [("MI", 5), ("RCB", 77), ("KKR", 1)])
+        report = platform.refresh_dashboard("ipl")
+        mine = platform.get_dashboard("ipl").endpoint("top")
+        theirs = fresh_full_run(tmp_path).endpoint("top")
+        assert mine.to_json_records() == theirs.to_json_records()
+        assert report.source_reloads == {"games": "prefix_changed"}
+        event = [e for e in platform.events if e.kind == "refresh"][-1]
+        assert event.detail["source_reloads"] == {"games": "prefix_changed"}
+        series = platform.observability.metrics.as_dict()[
+            "repro_ingest_delta_reloads_total"
+        ]["series"]
+        assert {s["labels"]["reason"]: s["value"] for s in series} == {
+            "first_read": 1, "prefix_changed": 1,
+        }
+
+    def test_ipl_flow_refreshes_appended_tweets_incrementally(
+        self, tmp_path
+    ):
+        """Appendix A's processing flow over a JSON array: tweets
+        appended the way a writer keeps the array valid advance all
+        nine flows without a recompute, exactly."""
+        from repro.workloads import IPL_PROCESSING_FLOW, ipl
+
+        def ipl_platform():
+            platform = Platform()
+            platform.create_dashboard(
+                "ipl",
+                IPL_PROCESSING_FLOW,
+                data_dir=str(tmp_path),
+                inline_tables={
+                    "dim_teams": ipl.dim_teams_table(),
+                    "team_players": ipl.team_players_table(),
+                    "lat_long": ipl.lat_long_table(),
+                },
+                dictionaries=ipl.dictionaries(),
+            )
+            platform.run_dashboard("ipl")
+            return platform
+
+        feed = tmp_path / "ipl_tweets.json"
+        feed.write_bytes(ipl.tweets_json(count=300, seed=3))
+        platform = ipl_platform()
+        first = platform.refresh_dashboard("ipl")  # bootstrap cycle
+        assert first.source_reloads == {"ipltweets": "first_read"}
+        for cycle in range(3):
+            more = json.dumps(ipl.generate_tweets(40, seed=10 + cycle))
+            with feed.open("r+b") as handle:
+                handle.seek(-1, 2)  # the closing "]"
+                handle.write(b", " + more[1:].encode("utf-8"))
+            report = platform.refresh_dashboard("ipl")
+            assert report.delta_rows == 40
+            assert report.flows_full == [] and report.source_reloads == {}
+            assert len(report.flows_incremental) == 9
+            dashboard = platform.get_dashboard("ipl")
+            reference = ipl_platform().get_dashboard("ipl")
+            for endpoint in dashboard.compiled.endpoint_names:
+                assert (
+                    dashboard.endpoint(endpoint).to_json_records()
+                    == reference.endpoint(endpoint).to_json_records()
+                ), (cycle, endpoint)
+
     def test_full_refresh_rereads_sources(self, tmp_path):
         write_games(tmp_path, [("CSK", 120)])
         platform = make_platform(tmp_path)
@@ -204,22 +273,24 @@ class TestIncrementalRefresh:
         assert dashboard.endpoint("games") is dashboard._source_tables["games"]
 
     def test_bypassed_join_state_is_dropped(self, tmp_path):
-        """``best`` (a grouped top-n) always recomputes through the
-        engine and drags the join behind it along; in cycles where only
-        ``cities`` grows the join advances its own state.  That state
-        must not survive a cycle that went around it."""
+        """``best`` (a widget-sourced filter) always recomputes through
+        the engine and drags the join behind it along; in cycles where
+        only ``cities`` grows the join advances its own state.  That
+        state must not survive a cycle that went around it."""
         flow = (
             "D:\n    games: [team, runs]\n    cities: [team, city]\n"
             "    best: [team, runs]\n    out: [team, city, runs]\n"
             "D.games:\n    source: games.csv\n"
             "D.cities:\n    source: cities.csv\n"
-            "F:\n    D.best: D.games | T.top\n"
+            "F:\n    D.best: D.games | T.pick\n"
             "    D.out: (D.cities, D.best) | T.j\n"
             "    D.out:\n        endpoint: true\n"
-            "T:\n    top:\n        type: topn\n        groupby: [team]\n"
-            "        orderby_column: [runs DESC]\n        limit: 1\n"
+            "T:\n    pick:\n        type: filter_by\n"
+            "        filter_by: [team]\n        filter_source: W.teams\n"
             "    j:\n        type: join\n        left: cities by team\n"
             "        right: best by team\n        join_condition: left outer\n"
+            "W:\n    teams:\n        type: List\n        source: D.games\n"
+            "        text: team\n"
         )
         write_games(tmp_path, [("CSK", 120), ("MI", 98)])
         cities = tmp_path / "cities.csv"
@@ -294,6 +365,8 @@ class TestIncrementalRefresh:
         lines = capsys.readouterr().err.splitlines()
         assert f"out fell back: {reason}" in lines[-1]
         assert "fell back" not in lines[-2]
+        assert "; games reloaded: first_read" in lines[-2]
+        assert "reloaded" not in lines[-1]
 
     def test_refresh_emits_metrics_and_event(self, tmp_path):
         write_games(tmp_path, [("CSK", 120)])

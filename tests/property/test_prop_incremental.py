@@ -7,23 +7,31 @@ produces.  This is the safety property behind
 
 The second half is the same promise for refreshes of a join-headed flow:
 after any sequence of appends to either side a ``FlowDeltaState`` shows
-what the per-cell reference join, run over everything, shows.
+what the per-cell reference join, run over everything, shows — and for
+Appendix A's ``parallel`` → count-only group-by → top-n chains, what a
+full recompute shows.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import Platform
+from repro.compiler.dag import build_dag
 from repro.data import Schema, Table
+from repro.dsl import parse_flow_file
 from repro.engine.incremental import Delta, FlowDeltaState
 from repro.tasks.base import TaskContext
 from repro.tasks.registry import default_task_registry
 from tests.property.test_prop_task_kernels import (
+    DICTIONARIES,
+    FLOW as KERNEL_FLOW,
+    RULES_TABLE,
     ReferenceJoinTask,
     cells,
     join_configs,
     join_sides,
     join_task_config,
+    tables,
 )
 
 
@@ -198,3 +206,59 @@ def test_join_flow_state_after_appends_matches_full_recompute(
         for task in tail:
             want = task.apply([want], reference_context)
         assert cells(output) == cells(want)
+
+
+# ---------------------------------------------------------------------------
+# Appendix A's operators under appends: parallel, count-only group-by, top-n
+# ---------------------------------------------------------------------------
+
+
+def _appendix_chains():
+    """The kernel suite's flow (a ``parallel`` pipeline into count-only
+    and mixed group-bys over odd keys: ``None``, ``1``/``True``/``1.0``,
+    NaN, lists to explode), plus top-n over tied counts and values."""
+    flow = parse_flow_file(KERNEL_FLOW)
+    tasks = REGISTRY.build_section(
+        {name: spec.config for name, spec in flow.tasks.items()}
+    )
+    chains = {
+        f.output: [tasks[t] for t in f.tasks]
+        for f in build_dag(flow).ordered_flows()
+    }
+    tops = {
+        "top_tokens": ("tokens", {"orderby_column": ["count DESC"],
+                                  "limit": 3}),
+        "top_words_per_day": ("words", {"groupby": ["day"], "limit": 2,
+                                        "orderby_column": ["count DESC"]}),
+        "top_n_per_region": (None, {"groupby": ["d"], "limit": 2,
+                                    "orderby_column": ["n DESC"]}),
+        "lowest_n": (None, {"orderby_column": ["n ASC", "d DESC"],
+                            "limit": 4}),
+    }
+    for name, (upstream, config) in tops.items():
+        top = REGISTRY.create(name, {"type": "topn", **config})
+        chains[name] = chains.get(upstream, []) + [top]
+    return chains
+
+
+APPENDIX_CHAINS = _appendix_chains()
+
+
+@settings(max_examples=40, deadline=None)
+@given(tables(), st.lists(tables(), min_size=1, max_size=4))
+@example(RULES_TABLE, [RULES_TABLE, RULES_TABLE])
+def test_appendix_operators_after_appends_match_full_recompute(
+    base, appends
+):
+    for name, tasks in APPENDIX_CHAINS.items():
+        state = FlowDeltaState(tasks)
+        context = TaskContext(dictionaries=DICTIONARIES)
+        state.advance(Delta("full", base), context)
+        seen = base
+        for rows in appends:
+            seen = Table.concat_all([seen, rows])
+            output, _delta = state.advance(Delta("append", rows), context)
+            want, full_context = seen, TaskContext(dictionaries=DICTIONARIES)
+            for task in tasks:
+                want = task.apply([want], full_context)
+            assert cells(output) == cells(want), name

@@ -7,7 +7,9 @@ would produce — regardless of appends, in-place rewrites, or writes
 that end mid-line.
 """
 
+import json
 import os
+import random
 import time
 
 import pytest
@@ -136,8 +138,10 @@ class TestFileConnectorCursor:
 class TestFormatPreambles:
     def test_csv_preamble_is_header_line(self):
         fmt = CsvFormat()
-        assert fmt.supports_delta
-        assert fmt.delta_preamble(b"a,b\n1,2\n3,4\n", {}) == 4
+        payload = b"a,b\n1,2\n3,4\n"
+        assert fmt.delta_resume(payload, {}) == len(payload)
+        assert fmt.delta_preamble(payload, {}) == 4
+        assert fmt.delta_payload(b"a,b\n", b"5,6\n", {}) == b"a,b\n5,6\n"
 
     def test_csv_headerless_has_no_preamble(self):
         fmt = CsvFormat()
@@ -145,11 +149,143 @@ class TestFormatPreambles:
 
     def test_jsonl_has_no_preamble(self):
         fmt = JsonLinesFormat()
-        assert fmt.supports_delta
-        assert fmt.delta_preamble(b'{"a": 1}\n{"a": 2}\n', {}) == 0
+        payload = b'{"a": 1}\n{"a": 2}\n'
+        assert fmt.delta_resume(payload, {}) == len(payload)
+        assert fmt.delta_preamble(payload, {}) == 0
 
-    def test_json_array_is_not_delta_capable(self):
-        assert not JsonFormat.supports_delta
+    def test_line_formats_do_not_resume_mid_line(self):
+        assert CsvFormat().delta_resume(b"a,b\n1,", {}) is None
+        assert JsonLinesFormat().delta_resume(b'{"a": 1}', {}) is None
+
+    def test_json_wrapper_is_not_delta_capable(self):
+        fmt = JsonFormat()
+        assert fmt.delta_resume(b'{"items": [{"a": 1}]}', {}) is None
+        assert fmt.delta_resume(b'[{"a": 1}]', {"root": "items"}) is None
+        assert fmt.delta_resume(b"[ ]\n", {}) is None  # nothing to extend
+        # JSON lines whose documents happen to be arrays
+        assert fmt.delta_resume(b"[1]\n[2]\n", {}) is None
+        assert fmt.delta_resume(b'[1]', {"encoding": "utf-16"}) is None
+
+    def test_json_array_resumes_at_its_closing_bracket(self):
+        fmt = JsonFormat()
+        assert fmt.delta_resume(b'[{"a": 1}]', {}) == 9
+        assert fmt.delta_resume(b'[\n  {"a": 1}\n]\n\n', {}) == 13
+        assert fmt.delta_resume(b', {"a": 2}] ', {}) == 10
+        assert fmt.delta_payload(b"", b' , {"a": 2},3]\n', {}) == (
+            b'[ {"a": 2},3]'
+        )
+
+    @pytest.mark.parametrize(
+        "tail",
+        [b'{"a": 2}]', b", ]", b', {"a": 2}', b', {"a": 2}]]', b",[1]"],
+    )
+    def test_json_tail_that_is_no_clean_append(self, tail):
+        assert JsonFormat().delta_payload(b"", tail, {}) is None
+
+
+class TestRandomJsonArrays:
+    """Random arrays (nested ``=>`` paths, unicode, pretty-printed or
+    not, whitespace after ``]``) through random appends, in-place
+    rewrites and torn tails: after every step the ``load_delta`` results
+    stitched together equal a full decode of the current bytes."""
+
+    SCHEMA = Schema.from_mapping(
+        {"id": None, "who": "user.name", "city": "user.home.city",
+         "n": "stats.n"}
+    )
+    NAMES = ["plain", "", "Äöü", "名前", "line sep", 'q"uote\\']
+
+    def _docs(self, rng, start, count):
+        return [
+            {
+                "id": start + i,
+                "user": {
+                    "name": rng.choice(self.NAMES),
+                    "home": {"city": rng.choice(["Pune", None, "Delhi"])},
+                },
+                "stats": {"n": rng.choice([1, 1.5, True, None, -3, "7"])},
+            }
+            for i in range(count)
+        ]
+
+    def _dump(self, rng, docs):
+        return json.dumps(
+            docs,
+            ensure_ascii=rng.random() < 0.5,
+            indent=2 if rng.random() < 0.5 else None,
+        ).encode("utf-8")
+
+    def _ws(self, rng):
+        return rng.choice([b"", b"\n", b" \r\n", b"\t\n\n"])
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_loads_stitch_to_a_full_decode(self, loader, tmp_path, seed):
+        from repro.errors import FormatError
+
+        rng = random.Random(seed)
+        path = tmp_path / "feed.json"
+        config = {"source": str(path), "format": "json"}
+        clock = [1_000_000_000]
+
+        def write(data):
+            path.write_bytes(data)
+            clock[0] += 1_000_000  # every write is a new mtime
+            os.utime(path, ns=(clock[0], clock[0]))
+
+        next_id = 3
+        write(self._dump(rng, self._docs(rng, 0, next_id)) + self._ws(rng))
+        state, table = None, None
+        pending = b""  # the rest of a torn append
+        for _step in range(14):
+            data = path.read_bytes()
+            op = rng.choice(
+                ["append"] * 4 + ["same", "larger", "smaller", "torn",
+                                  "none"]
+            )
+            if pending:
+                write(data + pending)
+                pending = b""
+            elif op in ("append", "torn"):
+                count = rng.randint(1, 3)
+                more = self._dump(rng, self._docs(rng, next_id, count))
+                next_id += count
+                body = data.rstrip(b" \t\r\n")[:-1]  # drop the "]"
+                grown = (
+                    body + rng.choice([b", ", b",\n  ", b","])
+                    + more.strip()[1:] + self._ws(rng)
+                )
+                if op == "torn":
+                    cut = rng.randint(len(body) + 1, len(grown) - 1)
+                    grown, pending = grown[:cut], grown[cut:]
+                write(grown)
+            elif op == "same":
+                at = data.index(b'"id": ') + 6
+                while data[at + 1] in b"0123456789":
+                    at += 1  # the last digit: no leading zeros
+                digit = (data[at] - 48 + 1) % 10 + 48
+                write(data[:at] + bytes([digit]) + data[at + 1:])
+            elif op in ("larger", "smaller"):
+                docs = json.loads(data)
+                docs = (
+                    self._docs(rng, 100, len(docs) + 2)
+                    if op == "larger"
+                    else docs[: max(1, len(docs) - 2)]
+                )
+                docs[0]["id"] = rng.randint(1000, 9999)
+                write(self._dump(rng, docs) + self._ws(rng))
+            try:
+                expected = loader.load(self.SCHEMA, config)
+            except FormatError:
+                with pytest.raises(FormatError):
+                    loader.load_delta(self.SCHEMA, config, state)
+                continue  # the state stays where it was
+            load = loader.load_delta(self.SCHEMA, config, state)
+            state = load.state
+            if load.mode == "full":
+                table = load.table
+            elif load.mode == "append":
+                table = Table.concat_all([table, load.table])
+            assert table.to_json_records() == expected.to_json_records()
 
 
 class TestLoaderDeltaState:
@@ -227,10 +363,64 @@ class TestLoaderDeltaState:
         assert second.table.column("a") == [2]
 
     def test_non_delta_format_falls_back_to_full(self, loader, tmp_path):
+        path = tmp_path / "d.xml"
+        path.write_bytes(b"<rows><r><a>1</a></r></rows>")
+        schema, config = Schema.of("a"), self._config(path, fmt="xml")
+        load = loader.load_delta(schema, config)
+        assert (load.mode, load.reason) == ("full", "first_read")
+        assert load.state["aligned"] is False  # XML has no resume point
+        # unchanged: nothing to decode; grown: reloaded whole, with why
+        assert loader.load_delta(schema, config, load.state).mode == "none"
+        path.write_bytes(b"<rows><r><a>1</a></r><r><a>2</a></r></rows>")
+        grown = loader.load_delta(schema, config, load.state)
+        assert (grown.mode, grown.reason) == ("full", "no_delta_format")
+        assert grown.table.column("a") == [1, 2]
+        series = loader.observability.metrics.as_dict()[
+            "repro_ingest_delta_reloads_total"
+        ]["series"]
+        assert {s["labels"]["reason"]: s["value"] for s in series} == {
+            "first_read": 1, "no_delta_format": 1,
+        }
+
+    def test_json_array_appends_decode_only_the_new_elements(
+        self, loader, tmp_path
+    ):
         path = tmp_path / "d.json"
-        path.write_bytes(b'[{"a": 1}]')
-        load = loader.load_delta(
-            Schema.of("a"), self._config(path, fmt="json")
+        path.write_bytes(b'[{"a": 1}, {"a": 2}]\n')
+        schema, config = Schema.of("a"), self._config(path, fmt="json")
+        first = loader.load_delta(schema, config)
+        assert first.mode == "full" and first.state["aligned"] is True
+        with path.open("r+b") as handle:  # overwrite "]\n"
+            handle.seek(-2, 2)
+            handle.write(b', {"a": 3}]\n')
+        second = loader.load_delta(schema, config, first.state)
+        assert second.mode == "append"
+        assert second.table.column("a") == [3]
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl", "json"])
+    def test_larger_in_place_rewrite_is_a_full_reload(
+        self, loader, tmp_path, fmt
+    ):
+        """Same prefix length, different bytes, then more: the file grew,
+        but what it grew from is gone."""
+        path = tmp_path / f"games.{fmt}"
+        encode = {
+            "csv": lambda rows: "team,runs\n" + "".join(
+                f"{t},{r}\n" for t, r in rows
+            ),
+            "jsonl": lambda rows: "".join(
+                f'{{"team": "{t}", "runs": {r}}}\n' for t, r in rows
+            ),
+            "json": lambda rows: "[" + ", ".join(
+                f'{{"team": "{t}", "runs": {r}}}' for t, r in rows
+            ) + "]",
+        }[fmt]
+        schema, config = Schema.of("team", "runs"), self._config(path, fmt)
+        path.write_text(encode([("CSK", 120)]), encoding="utf-8")
+        first = loader.load_delta(schema, config)
+        path.write_text(
+            encode([("MI", 5), ("RCB", 77), ("KKR", 1)]), encoding="utf-8"
         )
-        assert load.mode == "full"
-        assert load.state is None  # no cursor: next call is full again
+        second = loader.load_delta(schema, config, first.state)
+        assert (second.mode, second.reason) == ("full", "prefix_changed")
+        assert second.table.column("team") == ["MI", "RCB", "KKR"]
