@@ -90,10 +90,11 @@ class Connector(abc.ABC):
         self,
         config: Mapping[str, Any],
         cursor: Any = None,
-        resume: Callable[[bytes], int | None] | None = None,
+        resume: Callable[[bytes], int | None] | None = len,
     ) -> DeltaFetch:
         """Fetch only what changed since ``cursor``; ``resume(data)``
-        says where in the bytes read the next append resumes.
+        says where in the bytes read the next append resumes
+        (``None``: the format never resumes).
 
         The default implementation is the honest fallback: every call is
         a full fetch with a ``None`` cursor, so callers that probe

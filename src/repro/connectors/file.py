@@ -88,20 +88,22 @@ class FileConnector(Connector):
         self,
         config: Mapping[str, Any],
         cursor: Any = None,
-        resume: Callable[[bytes], int | None] | None = None,
+        resume: Callable[[bytes], int | None] | None = len,
     ) -> DeltaFetch:
         """Bytes written since ``cursor``, behind a verified resume point.
 
         The cursor holds the ``size`` and ``mtime_ns`` seen last, the
         ``offset`` where appends resume (``resume(data)`` names it in
-        the bytes read; ``None``: nowhere) and a ``digest`` of the
-        ≤ 4 KiB block ending there.  Size and mtime as seen is
-        ``"none"``; growth whose block kept its digest is an
-        ``"append"`` of the bytes from the resume offset on; anything
-        else is ``"full"`` with a ``reason``: ``first_read``,
-        ``shrunk``, ``rewritten`` (same size, new mtime),
-        ``no_delta_format`` (no resume offset) or ``prefix_changed``
-        (rewritten in place to a larger size).
+        the bytes read; ``None``: nowhere, as for every read when
+        ``resume`` is ``None``) and a ``digest`` of the ≤ 4 KiB block
+        ending there.  Size and mtime as seen is ``"none"``; growth
+        whose block kept its digest is an ``"append"`` of the bytes from
+        the resume offset on; anything else is ``"full"`` with a
+        ``reason``: ``first_read``, ``shrunk``, ``rewritten`` (same
+        size, new mtime), ``no_delta_format`` (``resume`` is ``None``:
+        the format never resumes), ``torn_tail`` (the last read ended
+        where no append can resume, such as mid-line) or
+        ``prefix_changed`` (rewritten in place to a larger size).
         """
         path = self._resolve(config)
         if not path.exists():
@@ -137,7 +139,7 @@ class FileConnector(Connector):
             if stat.st_size <= size:
                 reason = "shrunk" if stat.st_size < size else "rewritten"
             elif offset is None:
-                reason = "no_delta_format"
+                reason = "torn_tail" if resume else "no_delta_format"
             else:  # re-read from the block before the resume offset
                 start = max(0, offset - _BLOCK)
                 data, at = _read(start), offset - start
@@ -146,7 +148,7 @@ class FileConnector(Connector):
         if reason is not None:
             data, start, at = _read(0), 0, 0
         payload = data[at:]
-        end = (resume or len)(payload)
+        end = resume(payload) if resume else None
         end = None if end is None else at + end
         offset = None if end is None else start + end
         return DeltaFetch(

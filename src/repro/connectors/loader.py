@@ -34,6 +34,7 @@ from __future__ import annotations
 import logging
 import os
 from dataclasses import dataclass, field
+from functools import partial
 from time import perf_counter
 from typing import Any, Iterator, Mapping, Sequence
 
@@ -176,6 +177,9 @@ class DataObjectLoader:
         fmt = self.formats.get(format_name)
         state = dict(state or {})
         obs = self.observability
+        resume = None  # no resume points: every growth reloads whole
+        if fmt.delta_resumable(config):
+            resume = partial(fmt.delta_resume, options=config)
 
         def fetch(cursor: Any) -> Any:
             with obs.tracer.span(
@@ -184,11 +188,7 @@ class DataObjectLoader:
                 source=str(config.get("source", "")),
                 delta=True,
             ) as span:
-                delta = connector.fetch_delta(
-                    config,
-                    cursor,
-                    lambda data: fmt.delta_resume(data, options=config),
-                )
+                delta = connector.fetch_delta(config, cursor, resume)
                 payload_len = len(delta.payload or b"")
                 span.set(bytes=payload_len, mode=delta.mode)
             self._record_fetch(protocol, span.duration, payload_len)
@@ -221,8 +221,6 @@ class DataObjectLoader:
             obs.metrics, format_name, table.encode_fallbacks
         )
         state["cursor"] = delta.cursor
-        # whether the next append can resume where this read stopped
-        state["aligned"] = delta.metadata.get("resume") is not None
         return self._reloaded(
             DeltaLoad(delta.mode, table, state), delta.reason
         )

@@ -87,8 +87,8 @@ class RefreshReport:
     flows_full: list[str] = field(default_factory=list)
     fallback_reasons: dict[str, str] = field(default_factory=dict)
     #: sources re-read whole instead of by delta, and why each one was:
-    #: first_read, no_delta_format, shrunk, rewritten, prefix_changed,
-    #: tail_unparseable
+    #: first_read, no_delta_format, torn_tail, shrunk, rewritten,
+    #: prefix_changed, tail_unparseable
     source_reloads: dict[str, str] = field(default_factory=dict)
     #: flows whose inputs were unchanged (no work at all)
     flows_skipped: list[str] = field(default_factory=list)

@@ -11,8 +11,9 @@ frame — which is what "vectorized" means in a pure-stdlib engine.
 Every kernel is semantics-preserving: for any input, the fast path
 returns row-for-row exactly what the row-at-a-time path returns
 (``tests/property/test_prop_kernels.py`` generates mixed-type, ``None``-
-laden and empty tables to prove it).  Odd comparisons (``None``, mixed
-``int``/``str`` cells) defer to the same helpers the slow paths use.
+laden and empty tables to prove it).  A predicate's odd comparisons
+(``None``, mixed ``int``/``str`` cells) defer to the same helpers the
+slow paths use; sorts place every cell by :func:`order_key`.
 
 Contents:
 
@@ -23,9 +24,10 @@ Contents:
 * :func:`compile_expression_predicate` — compiles the simple expression
   shapes (``col <op> literal``, ``col in [..]``, conjunctions) that
   dominate flow files into columnar predicates;
+* :func:`order_key` — the one total order over cell values every sort
+  and top-n uses (``None``, numbers, NaN, strings, dates, the rest);
 * :func:`argsort` — the stable multi-key argsort behind
-  ``Table.sorted_by`` (with the snapshot-per-pass fix for the
-  mixed-type fallback);
+  ``Table.sorted_by``;
 * :func:`top_n_indices` — heap-based fused ``orderby``+``limit``;
 * :func:`group_indices` — single-pass hash group-by partitioning;
 * :func:`distinct_indices` — first row per distinct key (backs
@@ -44,6 +46,7 @@ boxed twin (``tests/property/test_prop_encodings.py``).
 
 from __future__ import annotations
 
+import datetime
 import heapq
 import itertools
 import operator
@@ -385,34 +388,47 @@ def _compile_node(node: Any) -> ColumnarPredicate | None:
 # ---------------------------------------------------------------------------
 
 
-def _typed_key(values: Sequence[Any]) -> Callable[[int], tuple]:
-    def key(i: int) -> tuple:
-        v = values[i]
-        if isinstance(v, bool):
-            return (True, int(v))
-        return (v is not None, v)
+def order_key(value: Any) -> tuple:
+    """``value``'s place in the one total order every sort uses.
 
-    return key
-
-
-def _string_key(values: Sequence[Any]) -> Callable[[int], tuple]:
-    def key(i: int) -> tuple:
-        v = values[i]
-        return (v is not None, str(v))
-
-    return key
+    Ascending, by rank: ``None``; numbers (``bool``, ``int``, ``float``
+    and subclasses) numerically; float NaN; ``str`` by code point;
+    dates and datetimes (by type name, naive before aware, then their
+    own order); anything else by ``(type name, repr)``.  A key depends
+    on its value alone and never raises, so the order of two rows never
+    depends on the rest of the column (``docs/flowfile-reference.md``
+    has the table).
+    """
+    kind = type(value)
+    if kind is str:
+        return (3, value)
+    if kind is int or (kind is float and value == value):
+        return (1, value)
+    if value is None:
+        return (0,)
+    if isinstance(value, (int, float)):  # bool, subclasses, NaN
+        return (1, value) if value == value else (2,)
+    if isinstance(value, str):
+        return (3, value)
+    if isinstance(value, datetime.date):
+        aware = (
+            isinstance(value, datetime.datetime)
+            and value.utcoffset() is not None
+        )
+        return (4, type(value).__name__, aware, value)
+    return (5, type(value).__name__, repr(value))
 
 
 def _encoded_sort_key(column: Any) -> Callable[[int], Any] | None:
     """An int-valued sort key for an encoded column, or ``None``.
 
-    Encoded columns are homogeneous, so the key never raises and the
-    ``(v is not None, v)`` tuples of the boxed path collapse to plain
-    scalars: typed arrays compare their values directly (all non-null
-    when the mask is absent), dictionary columns compare dictionary
-    *ranks* — the dictionary is sorted once, then every row comparison
-    is an int compare.  ``None`` keeps sorting first ascending: masked
-    rows key as ``(False, ...)`` tuples, null codes as rank ``-1``.
+    Encoded columns hold one type and no NaN, so :func:`order_key`'s
+    ranks collapse to plain scalars in the same order: typed arrays
+    compare their values directly (all non-null when the mask is
+    absent), dictionary columns compare dictionary *ranks* — the
+    dictionary is sorted once, then every row comparison is an int
+    compare.  ``None`` keeps sorting first ascending: masked rows key
+    as ``(False, ...)`` tuples, null codes as rank ``-1``.
     """
     kind = type(column)
     if kind is DictColumn:
@@ -444,8 +460,8 @@ def _dict_counting_pass(
     O(rows + cardinality), stable by construction.  Exactly equivalent
     to ``indices.sort(key=rank_of_row, reverse=descending)``: equal
     keys keep their incoming order either way, and ``descending``
-    reverses bucket order, putting nulls last like the boxed
-    ``(v is not None, v)`` key does.
+    reverses bucket order, putting nulls last like :func:`order_key`
+    does.
     """
     ranks = column.sort_ranks()
     codes = column.codes
@@ -467,38 +483,30 @@ def _dict_counting_pass(
     return out
 
 
+def _sort_key(values: Sequence[Any]) -> Callable[[int], Any]:
+    """Row index -> sort key: the encoding's own key, else
+    :func:`order_key`, computed once per cell."""
+    key = _encoded_sort_key(values)
+    if key is None:
+        key = list(map(order_key, values)).__getitem__
+    return key
+
+
 def argsort(
     num_rows: int,
     key_columns: Sequence[Sequence[Any]],
     descending: Sequence[bool],
 ) -> list[int]:
-    """Stable multi-key argsort over column lists or encoded columns.
-
-    ``None`` sorts first ascending / last descending; mixed-type columns
-    fall back to string comparison.  Each pass snapshots its input order
-    before attempting the typed sort: ``list.sort`` may leave the list
-    partially reordered when a comparison raises mid-flight, and sorting
-    that wreckage would silently destroy the stability established by
-    earlier (less significant) key passes.  (Encoded passes can't raise
-    and skip the snapshot.)
-    """
+    """Stable multi-key argsort over column lists or encoded columns:
+    one stable pass per key in :func:`order_key`'s order, least
+    significant key first; a descending pass reverses the order and
+    keeps ties in row order."""
     indices = list(range(num_rows))
     for values, desc in reversed(list(zip(key_columns, descending))):
         if type(values) is DictColumn:
             indices = _dict_counting_pass(indices, values, desc)
-            continue
-        encoded_key = _encoded_sort_key(values)
-        if encoded_key is not None:
-            indices.sort(key=encoded_key, reverse=desc)
-            continue
-        snapshot = list(indices)
-        try:
-            indices.sort(key=_typed_key(values), reverse=desc)
-        except TypeError:
-            # Mixed types: restore the pre-pass order, then re-sort by
-            # string so the fallback is still a *stable* pass.
-            indices = snapshot
-            indices.sort(key=_string_key(values), reverse=desc)
+        else:
+            indices.sort(key=_sort_key(values), reverse=desc)
     return indices
 
 
@@ -516,20 +524,10 @@ def top_n_indices(
         return []
     if n >= count:
         return argsort(count, [values], [descending])
-    key = _encoded_sort_key(values)
-    if key is not None:
-        if descending:
-            return heapq.nlargest(n, range(count), key=key)
-        return heapq.nsmallest(n, range(count), key=key)
-    key = _typed_key(values)
-    try:
-        # heapq.nsmallest/nlargest are documented as equivalent to
-        # sorted(...)[:n] / sorted(..., reverse=True)[:n], both stable.
-        if descending:
-            return heapq.nlargest(n, range(count), key=key)
-        return heapq.nsmallest(n, range(count), key=key)
-    except TypeError:
-        return argsort(count, [values], [descending])[:n]
+    # heapq.nsmallest/nlargest are documented as equivalent to
+    # sorted(...)[:n] / sorted(..., reverse=True)[:n], both stable.
+    pick = heapq.nlargest if descending else heapq.nsmallest
+    return pick(n, range(count), key=_sort_key(values))
 
 
 # ---------------------------------------------------------------------------

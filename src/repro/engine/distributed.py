@@ -34,10 +34,12 @@ import datetime
 import math
 import time
 import zlib
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from repro.data import DictColumn, Table
+from repro.data.kernels import order_key
 from repro.engine.plan import LogicalPlan, PlanNode
 from repro.engine.scheduler import ProcessPool, WorkerPool
 from repro.errors import (
@@ -1331,29 +1333,23 @@ class DistributedExecutor:
         Sample the primary sort key, pick P-1 cut points, route rows by
         range so partition i's keys all precede partition i+1's, then
         sort each partition locally.  Gathering partitions in order
-        yields a totally sorted table.  Falls back to a single-reducer
-        sort when the key mixes incomparable types.
+        yields a totally sorted table.  Samples, cuts and routing all
+        compare :func:`~repro.data.kernels.order_key` keys — the local
+        sort's own order, defined for any mix of types — and equal keys
+        share a partition, so the row order is the local engine's.
         """
         input_rows = sum(p.num_rows for p in partitions)
-        order = task._order
-        primary, primary_desc = order[0]
-        sample: list[Any] = []
+        primary, primary_desc = task._order[0]
+        sample: list[tuple] = []
         for partition in partitions:
-            values = [
-                v for v in partition.column(primary) if v is not None
-            ]
+            values = partition.column(primary)
             stride = max(1, len(values) // 32)
-            sample.extend(values[::stride])
-        try:
-            sample.sort()
-        except TypeError:
-            return self._gathered(task, partitions, context, stages)
+            sample.extend(map(order_key, values[::stride]))
         if len(partitions) == 1 or len(sample) < self._parts:
             return self._gathered(task, partitions, context, stages)
+        sample.sort()
         step = len(sample) / self._parts
         cuts = [sample[int(step * i)] for i in range(1, self._parts)]
-
-        import bisect
 
         pieces: list[list[Table]] = [[] for _ in range(self._parts)]
         records = 0
@@ -1365,16 +1361,7 @@ class DistributedExecutor:
                 [] for _ in range(self._parts)
             ]
             for i, value in enumerate(partition.column(primary)):
-                if value is None:
-                    index = 0  # None sorts first ascending
-                else:
-                    try:
-                        index = bisect.bisect_left(cuts, value)
-                    except TypeError:
-                        return self._gathered(
-                            task, partitions, context, stages
-                        )
-                index_lists[index].append(i)
+                index_lists[bisect_left(cuts, order_key(value))].append(i)
             for bucket, indices in enumerate(index_lists):
                 if indices:
                     pieces[bucket].append(partition.take(indices))

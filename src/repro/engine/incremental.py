@@ -27,7 +27,9 @@ operator family:
   original relative order inside the sorted base, and base rows
   precede delta rows in both arrangements; a per-group top-n keeps
   first-seen group order and drops only rows that can never rank
-  again.
+  again.  Both need the order of two rows to depend on those rows
+  alone, which :func:`~repro.data.kernels.order_key` guarantees (the
+  order table in ``docs/flowfile-reference.md``).
 * *Group-by* keeps one live :class:`~repro.tasks.groupby.Aggregate`
   per (group, spec) and feeds delta values in row order.  The builtin
   aggregates are left folds from the same identity the bulk fast paths
@@ -155,11 +157,13 @@ class _LimitState(_TaskState):
 class _KeepOutputState(_TaskState):
     """Sort and top-n: keep the output, re-apply the task to output ++ Δ.
 
-    Exact by stability (see the module docstring): a tied base row keeps
-    its relative order inside the output and precedes every delta row,
-    in both arrangements.  For a sort, timsort finds the output as one
-    long run, so the merge costs O(n + k log k); a top-n keeps at most
-    ``limit`` rows per group.
+    Exact by stability and the fixed order of
+    :func:`~repro.data.kernels.order_key` (see the module docstring): a
+    tied base row keeps its relative order inside the output and
+    precedes every delta row, in both arrangements, and a row the
+    output dropped ranks below the kept ones whatever Δ brings.  For a
+    sort, timsort finds the output as one long run, so the merge costs
+    O(n + k log k); a top-n keeps at most ``limit`` rows per group.
     """
 
     def __init__(self, task: Task):

@@ -45,13 +45,6 @@ Two design rules keep the determinism guarantee cheap:
   reporting (kill -9, ``os._exit``) surfaces as a captured
   :class:`~repro.errors.WorkerLostError`, which re-enters the engine's
   lineage-recovery path on the coordinator.
-
-:func:`stage_waves` is the plan-level view of the same idea: it groups
-plan nodes into "waves" of mutually independent stages (all inputs in
-earlier waves).  The engine keeps stage execution sequential — stage
-spans must wrap real work for ``run --profile`` to stay truthful — so
-waves are used for analysis and scheduling diagnostics, while the
-intra-stage pool provides the concurrency.
 """
 
 from __future__ import annotations
@@ -74,7 +67,6 @@ except ImportError:  # pragma: no cover - mmap ships with CPython
 
 from repro.data import pages as page_codec
 from repro.data.table import Table
-from repro.engine.plan import LogicalPlan
 from repro.errors import WorkerLostError
 from repro.observability.instruments import record_page_codec
 
@@ -1038,24 +1030,3 @@ def _read_msg(fd: int) -> Any | None:
     except Exception:
         return None
 
-
-def stage_waves(plan: LogicalPlan) -> list[list[str]]:
-    """Group plan nodes into waves of mutually independent stages.
-
-    Wave *k* holds every node whose longest input chain has length *k*;
-    all of a node's inputs live in strictly earlier waves, so the nodes
-    of one wave could execute concurrently.  Node order within a wave
-    follows :meth:`LogicalPlan.topological_order`, keeping the result
-    deterministic for a given plan.
-    """
-    level: dict[str, int] = {}
-    waves: list[list[str]] = []
-    for node in plan.topological_order():
-        depth = 1 + max(
-            (level[input_id] for input_id in node.inputs), default=-1
-        )
-        level[node.id] = depth
-        while len(waves) <= depth:
-            waves.append([])
-        waves[depth].append(node.id)
-    return waves

@@ -43,6 +43,14 @@ class Format(abc.ABC):
     # and how appended bytes become a payload ``decode`` turns into
     # exactly the appended rows.  The loader knows no format.
 
+    def delta_resumable(
+        self, options: Mapping[str, Any] | None = None
+    ) -> bool:
+        """Whether appends can resume anywhere in this format under
+        ``options``; ``False`` (the default, for XML, Avro): every
+        growth is a full reload (``no_delta_format``)."""
+        return False
+
     def delta_resume(
         self, data: bytes, options: Mapping[str, Any] | None = None
     ) -> int | None:

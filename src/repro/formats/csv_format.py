@@ -34,6 +34,9 @@ class CsvFormat(Format):
     name = "csv"
     supports_chunks = True
 
+    def delta_resumable(self, options=None):
+        return True
+
     def delta_resume(self, data, options=None):
         return line_resume(data)
 

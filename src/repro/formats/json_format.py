@@ -54,17 +54,19 @@ class JsonFormat(Format):
 
     name = "json"
 
+    def delta_resumable(self, options=None):
+        """A top-level array: UTF-8, without ``root``."""
+        options = options or {}
+        encoding = str(options.get("encoding", "utf-8")).lower()
+        return not options.get("root") and (
+            encoding.replace("_", "-") in ("utf-8", "utf8")
+        )
+
     def delta_resume(self, data, options=None):
         """The closing ``]`` of a whole array, or of a tail continuing
         one (:meth:`delta_payload` checks the tail's elements)."""
-        options = options or {}
-        encoding = str(options.get("encoding", "utf-8")).lower()
         body = data.strip(_JSON_WS)
-        if (
-            options.get("root")
-            or encoding.replace("_", "-") not in ("utf-8", "utf8")
-            or not body.endswith(b"]")
-        ):
+        if not self.delta_resumable(options) or not body.endswith(b"]"):
             return None
         if body[:1] == b"," or (body[:1] == b"[" and _one_array(body)):
             return len(data.rstrip(_JSON_WS)) - 1
@@ -120,6 +122,9 @@ class JsonLinesFormat(JsonFormat):
     # Line-delimited: any byte suffix starting on a line boundary
     # decodes to exactly the trailing rows, with no header preamble.
     delta_payload = Format.delta_payload
+
+    def delta_resumable(self, options=None):
+        return True
 
     def delta_resume(self, data, options=None):
         return line_resume(data)

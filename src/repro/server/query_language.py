@@ -14,7 +14,8 @@ cube verbs (the paper's "group, filter etc."):
     .../select/<col1,col2,...>
 
 Verbs chain left to right: ``/ds/x/filter/year/ge/2013/groupby/team/sum/
-tweets/orderby/tweets/desc/limit/5``.
+tweets/orderby/tweets/desc/limit/5``.  ``orderby`` orders cells as every
+sort does, by :func:`~repro.data.kernels.order_key`.
 
 :meth:`AdhocQuery.canonicalized` is the planner pass over a parsed
 chain.  It rewrites a query into a canonical equivalent — normalized

@@ -23,10 +23,13 @@ from repro.engine.incremental import Delta, FlowDeltaState
 from repro.tasks.base import TaskContext
 from repro.tasks.registry import default_task_registry
 from tests.property.test_prop_task_kernels import (
+    BODIES,
     DICTIONARIES,
     FLOW as KERNEL_FLOW,
+    NAMES,
     RULES_TABLE,
     ReferenceJoinTask,
+    STAMPS,
     cells,
     join_configs,
     join_sides,
@@ -216,7 +219,8 @@ def test_join_flow_state_after_appends_matches_full_recompute(
 def _appendix_chains():
     """The kernel suite's flow (a ``parallel`` pipeline into count-only
     and mixed group-bys over odd keys: ``None``, ``1``/``True``/``1.0``,
-    NaN, lists to explode), plus top-n over tied counts and values."""
+    NaN, lists to explode), plus top-n over tied counts and values, and
+    a sort and top-ns that order on those odd keys themselves."""
     flow = parse_flow_file(KERNEL_FLOW)
     tasks = REGISTRY.build_section(
         {name: spec.config for name, spec in flow.tasks.items()}
@@ -234,6 +238,10 @@ def _appendix_chains():
                                     "orderby_column": ["n DESC"]}),
         "lowest_n": (None, {"orderby_column": ["n ASC", "d DESC"],
                             "limit": 4}),
+        "x_sorted": (None, {"type": "sort", "orderby_column": ["x DESC"]}),
+        "top_x": (None, {"orderby_column": ["x DESC"], "limit": 2}),
+        "top_x_per_region": (None, {"groupby": ["d"], "limit": 2,
+                                    "orderby_column": ["x ASC", "n DESC"]}),
     }
     for name, (upstream, config) in tops.items():
         top = REGISTRY.create(name, {"type": "topn", **config})
@@ -244,9 +252,22 @@ def _appendix_chains():
 APPENDIX_CHAINS = _appendix_chains()
 
 
+def _region_rows(xs):
+    """Rows of one region whose ``x`` holds ``xs``."""
+    size = len(xs)
+    return Table(Schema.of(*NAMES), {
+        "t": STAMPS[:1] * size, "body": BODIES[:1] * size,
+        "w": [None] * size, "x": list(xs), "d": ["north"] * size,
+        "n": list(range(size)),
+    })
+
+
 @settings(max_examples=40, deadline=None)
 @given(tables(), st.lists(tables(), min_size=1, max_size=4))
 @example(RULES_TABLE, [RULES_TABLE, RULES_TABLE])
+# a string appended to ints must not turn their kept order into string
+# order: the kept top 2 of [9, 10, 8] is [10, 9], and stays 10 before 9
+@example(_region_rows([9, 10, 8]), [_region_rows(["1"])])
 def test_appendix_operators_after_appends_match_full_recompute(
     base, appends
 ):

@@ -8,7 +8,9 @@ the ad-hoc planner, whose canonicalized chains must serialize to
 byte-identical JSON.
 """
 
+import datetime
 import json
+from functools import cmp_to_key
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,8 +21,6 @@ from repro.data.kernels import (
     ContainsPredicate,
     MembershipPredicate,
     RangePredicate,
-    _string_key,
-    _typed_key,
     argsort,
     group_indices,
     top_n_indices,
@@ -109,20 +109,71 @@ def test_filter_task_fast_equals_row_path(values, threshold):
 # -- sorting --------------------------------------------------------------
 
 
+#: the sort properties' cells: every rank of the order table, NaN, and
+#: strings whose code-point order is not their numeric order
+sort_cell = st.one_of(
+    cell,
+    st.just(float("nan")),
+    st.sampled_from(["1", "007", "10"]),
+    st.dates(datetime.date(1999, 1, 1), datetime.date(2030, 1, 1)),
+    st.datetimes(
+        datetime.datetime(1999, 1, 1),
+        datetime.datetime(2030, 1, 1),
+        timezones=st.sampled_from([None, datetime.timezone.utc]),
+    ),
+)
+sort_column = st.lists(sort_cell, max_size=30)
+
+
+def _rank(value):
+    if value is None:
+        return 0
+    if isinstance(value, (int, float)):
+        return 1 if value == value else 2
+    if isinstance(value, str):
+        return 3
+    if isinstance(value, datetime.date):
+        return 4
+    return 5
+
+
+def _aware(value):
+    return (
+        isinstance(value, datetime.datetime)
+        and value.utcoffset() is not None
+    )
+
+
+def compare_cells(a, b):
+    """The order table of ``docs/flowfile-reference.md``, one pair at a
+    time: rank first, then the rank's own comparison."""
+    rank = _rank(a)
+    if rank != _rank(b):
+        return -1 if rank < _rank(b) else 1
+    if rank in (0, 2):  # every None, every NaN: equal
+        return 0
+    if rank == 4:  # type name, naive before aware, then native order
+        a, b = ((type(v).__name__, _aware(v), v) for v in (a, b))
+    elif rank == 5:
+        a, b = ((type(v).__name__, repr(v)) for v in (a, b))
+    return (a > b) - (a < b)
+
+
 def reference_argsort(num_rows, key_columns, descending):
-    """The intended semantics, pass by pass, with no in-place hazards:
-    ``sorted`` works on a copy, so a mid-comparison TypeError cannot
-    corrupt the running order."""
-    indices = list(range(num_rows))
-    for values, desc in reversed(list(zip(key_columns, descending))):
-        try:
-            indices = sorted(indices, key=_typed_key(values), reverse=desc)
-        except TypeError:
-            indices = sorted(indices, key=_string_key(values), reverse=desc)
-    return indices
+    """Rows in the order table's order, key by key (most significant
+    first, a descending key reversed), ties in row order."""
+
+    def compare_rows(i, j):
+        for values, desc in zip(key_columns, descending):
+            verdict = compare_cells(values[i], values[j])
+            if verdict:
+                return -verdict if desc else verdict
+        return i - j
+
+    return sorted(range(num_rows), key=cmp_to_key(compare_rows))
 
 
-@given(column, st.booleans())
+@given(sort_column, st.booleans())
 def test_argsort_single_key_matches_reference(values, descending):
     assert argsort(len(values), [values], [descending]) == reference_argsort(
         len(values), [values], [descending]
@@ -130,7 +181,7 @@ def test_argsort_single_key_matches_reference(values, descending):
 
 
 @given(
-    st.lists(st.tuples(cell, cell), max_size=30),
+    st.lists(st.tuples(sort_cell, sort_cell), max_size=30),
     st.booleans(),
     st.booleans(),
 )
@@ -147,11 +198,27 @@ def test_sorted_by_two_keys_matches_reference(rows, desc_a, desc_b):
     assert out == expected
 
 
-@given(column, st.booleans(), st.integers(min_value=0, max_value=35))
+@given(sort_column, st.booleans(), st.integers(min_value=0, max_value=35))
 def test_top_n_is_sort_prefix(values, descending, n):
     assert top_n_indices(values, descending, n) == argsort(
         len(values), [values], [descending]
     )[:n]
+
+
+@given(sort_column, st.booleans(), st.data())
+def test_sorted_subsequence_is_the_sorted_column_restricted(
+    values, descending, data
+):
+    """Two rows' order never depends on the other rows — what a kept
+    sort or top-n output relies on when it re-sorts itself plus Δ."""
+    keep = data.draw(
+        st.lists(st.booleans(), min_size=len(values), max_size=len(values))
+    )
+    chosen = [i for i, k in enumerate(keep) if k]
+    subsequence = [values[i] for i in chosen]
+    got = argsort(len(subsequence), [subsequence], [descending])
+    whole = argsort(len(values), [values], [descending])
+    assert [chosen[p] for p in got] == [i for i in whole if keep[i]]
 
 
 # -- grouping -------------------------------------------------------------

@@ -301,7 +301,7 @@ class TestLoaderDeltaState:
         first = loader.load_delta(schema, config)
         assert first.mode == "full"
         assert first.table.num_rows == 1
-        assert first.state["aligned"] is True
+        assert first.state["cursor"]["offset"] == 8
 
         second = loader.load_delta(schema, config, first.state)
         assert second.mode == "none"
@@ -341,7 +341,7 @@ class TestLoaderDeltaState:
         schema = Schema.of("a", "b")
         config = self._config(path)
         load = loader.load_delta(schema, config)
-        assert load.state["aligned"] is False
+        assert load.state["cursor"]["offset"] is None
         # Whatever the torn tail decoded to, the next cycle must not
         # append to it: the dropped cursor forces a full re-read.
         with path.open("ab") as handle:
@@ -349,6 +349,32 @@ class TestLoaderDeltaState:
         second = loader.load_delta(schema, config, load.state)
         assert second.mode == "full"
         assert second.table.column("a") == [1, 3, 5]
+
+    @pytest.mark.parametrize("fmt,torn,more", [
+        ("csv", b"a\n1\n2", b"\n3\n"),
+        ("jsonl", b'{"a": 1}\n{"a": 2}', b'\n{"a": 3}\n'),
+    ], ids=["csv", "jsonl"])
+    def test_torn_tail_reloads_as_torn_tail(
+        self, loader, tmp_path, fmt, torn, more
+    ):
+        """A line format whose last read stopped mid-line has a resume
+        point, just not there: its reload is ``torn_tail``."""
+        path = tmp_path / f"d.{fmt}"
+        path.write_bytes(torn)
+        schema, config = Schema.of("a"), self._config(path, fmt)
+        load = loader.load_delta(schema, config)
+        with path.open("ab") as handle:
+            handle.write(more)
+        grown = loader.load_delta(schema, config, load.state)
+        assert (grown.mode, grown.reason) == ("full", "torn_tail")
+        assert grown.table.column("a") == [1, 2, 3]
+        assert grown.state["cursor"]["offset"] == len(torn + more)
+        series = loader.observability.metrics.as_dict()[
+            "repro_ingest_delta_reloads_total"
+        ]["series"]
+        assert {s["labels"]["reason"]: s["value"] for s in series} == {
+            "first_read": 1, "torn_tail": 1,
+        }
 
     def test_jsonl_appends(self, loader, tmp_path):
         path = tmp_path / "d.jsonl"
@@ -368,7 +394,7 @@ class TestLoaderDeltaState:
         schema, config = Schema.of("a"), self._config(path, fmt="xml")
         load = loader.load_delta(schema, config)
         assert (load.mode, load.reason) == ("full", "first_read")
-        assert load.state["aligned"] is False  # XML has no resume point
+        assert load.state["cursor"]["offset"] is None  # no resume point
         # unchanged: nothing to decode; grown: reloaded whole, with why
         assert loader.load_delta(schema, config, load.state).mode == "none"
         path.write_bytes(b"<rows><r><a>1</a></r><r><a>2</a></r></rows>")
@@ -389,7 +415,8 @@ class TestLoaderDeltaState:
         path.write_bytes(b'[{"a": 1}, {"a": 2}]\n')
         schema, config = Schema.of("a"), self._config(path, fmt="json")
         first = loader.load_delta(schema, config)
-        assert first.mode == "full" and first.state["aligned"] is True
+        assert first.mode == "full"
+        assert first.state["cursor"]["offset"] == 19  # the closing "]"
         with path.open("r+b") as handle:  # overwrite "]\n"
             handle.seek(-2, 2)
             handle.write(b', {"a": 3}]\n')

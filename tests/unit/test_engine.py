@@ -1,5 +1,7 @@
 """Unit tests for the DAG, logical plan, and both executors."""
 
+import datetime
+
 import pytest
 
 from repro.compiler.dag import build_dag
@@ -297,6 +299,41 @@ class TestDistributedExecutor:
         # Combiner: at most limit*partitions records shuffled.
         shuffle = [s for s in dist.stages if s.kind == "shuffle"][0]
         assert shuffle.shuffled_records <= 12
+
+    @pytest.mark.parametrize("direction", ["ASC", "DESC"])
+    def test_mixed_type_sort_range_partitions_in_local_order(
+        self, direction
+    ):
+        source = (
+            "D:\n    raw: [k, v]\n"
+            "D.raw:\n    source: raw.csv\n"
+            "F:\n    D.out: D.raw | T.order\n"
+            "T:\n"
+            "    order:\n"
+            "        type: sort\n"
+            f"        orderby_column: [v {direction}, k ASC]\n"
+        )
+        plan, _ff = compile_plan(source)
+        cells = [None, 3, "b", 2.5, True, float("nan"), "10", [1], 0,
+                 datetime.date(2024, 5, 1), "a", -1, False, "007"]
+        # k breaks every tie on v (0 == False, every None, every NaN):
+        # rows that tie on the whole key keep partition order
+        mixed = Table(Schema.of("k", "v"), {
+            "k": list(range(140)),
+            "v": [cells[(i * 5) % len(cells)] for i in range(140)],
+        })
+        local = LocalExecutor(make_resolver(raw=mixed)).run(plan)
+        dist = DistributedExecutor(
+            make_resolver(raw=mixed), num_partitions=4, parallelism=4,
+            executor="threads",
+        ).run(plan)
+        assert [s.kind for s in dist.stages if s.task == "order"] == [
+            "shuffle"
+        ]
+        rows = lambda result: [
+            repr(r) for r in result.table("out").to_records()
+        ]
+        assert rows(dist) == rows(local)
 
     def test_native_mr_through_real_shuffle(self):
         from repro.tasks.udf import NativeMapReduceTask

@@ -102,13 +102,14 @@ class _Weird:
 
 
 class TestSortedByFallbackStability:
-    """Bug 3: the string fallback must restart from the pre-pass order.
+    """Bug 3: a mixed-type pass must keep the earlier passes' order.
 
-    ``list.sort`` only leaves the list visibly reordered on a
-    mid-comparison ``TypeError`` once the input is large enough to merge
-    runs (~50 elements), and the damage is only observable when the
-    fallback key has ties whose relative order changed — hence the
-    poisoned-int-among-incomparables construction below.
+    The string fallback that broke it re-sorted a list ``list.sort``
+    had half-reordered before raising (visible only past ~50 elements,
+    with ties) — hence the poisoned-int-among-incomparables
+    construction below.  Sorts now key every cell by
+    :func:`~repro.data.kernels.order_key`, which cannot raise; the
+    tests keep that so.
     """
 
     def test_mixed_type_fallback_preserves_earlier_pass_order(self):
@@ -123,8 +124,8 @@ class TestSortedByFallbackStability:
             for av, bv in zip(out.column("a"), out.column("b"))
             if isinstance(av, _Weird)
         ]
-        # Under str() every _Weird is "W": ties that the secondary pass
-        # ordered by b, which the fallback pass must keep (stability).
+        # Every _Weird keys as ("_Weird", "W"): ties that the secondary
+        # pass ordered by b, which the primary pass must keep.
         assert weird_bs == sorted(weird_bs)
 
     def test_small_mixed_column_falls_back_cleanly(self):

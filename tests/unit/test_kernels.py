@@ -136,10 +136,15 @@ class TestArgsort:
         order = argsort(4, [values], [False])
         assert [values[i] for i in order] == [0, False, True, 2]
 
-    def test_mixed_type_string_fallback(self):
+    def test_mixed_types_follow_the_order_table(self):
+        # Numbers before strings, each in its own order: a string in
+        # the column no longer turns 10 vs 2 into "10" vs "2".
         values = [10, "b", 2]
         order = argsort(3, [values], [False])
-        assert [values[i] for i in order] == [10, 2, "b"]
+        assert [values[i] for i in order] == [2, 10, "b"]
+        values = [9, 10, 8, "1"]
+        order = argsort(4, [values], [True])
+        assert [values[i] for i in order] == ["1", 10, 9, 8]
 
 
 class TestTopN:

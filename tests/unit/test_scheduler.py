@@ -5,9 +5,6 @@ import threading
 
 import pytest
 
-from repro.compiler.dag import build_dag
-from repro.dsl import parse_flow_file
-from repro.engine import build_logical_plan
 from repro.engine.scheduler import (
     EXECUTORS,
     POOL_MODES,
@@ -19,10 +16,8 @@ from repro.engine.scheduler import (
     resolve_executor,
     resolve_pool_mode,
     resolve_transport,
-    stage_waves,
 )
 from repro.errors import WorkerLostError
-from repro.tasks.registry import default_task_registry
 
 
 class TestWorkerPool:
@@ -391,53 +386,3 @@ class TestWarmProcessPool:
             "arena_bytes",
         }
 
-
-SOURCE = (
-    "D:\n    raw: [k, v]\n"
-    "D.raw:\n    source: raw.csv\n"
-    "F:\n"
-    "    D.left: D.raw | T.keep\n"
-    "    D.right: D.raw | T.double\n"
-    "    D.out: (D.left, D.right) | T.merge\n"
-    "T:\n"
-    "    keep:\n        type: filter_by\n        filter_expression: v > 1\n"
-    "    double:\n        type: add_column\n        expression: v * 2\n"
-    "        output: v2\n"
-    "    merge:\n        type: union\n"
-)
-
-
-class TestStageWaves:
-    def test_waves_group_independent_stages(self):
-        ff = parse_flow_file(SOURCE)
-        registry = default_task_registry()
-        tasks = registry.build_section(
-            {name: spec.config for name, spec in ff.tasks.items()}
-        )
-        plan = build_logical_plan(build_dag(ff), tasks)
-        waves = stage_waves(plan)
-        labels = [
-            [plan.nodes[node_id].label() for node_id in wave]
-            for wave in waves
-        ]
-        assert labels[0] == ["load(raw)"]
-        # The two branches are mutually independent: same wave.
-        assert sorted(labels[1]) == ["add_column:double", "filter_by:keep"]
-        assert labels[2] == ["union:merge"]
-
-    def test_every_input_is_in_an_earlier_wave(self):
-        ff = parse_flow_file(SOURCE)
-        registry = default_task_registry()
-        tasks = registry.build_section(
-            {name: spec.config for name, spec in ff.tasks.items()}
-        )
-        plan = build_logical_plan(build_dag(ff), tasks)
-        wave_of = {
-            node_id: i
-            for i, wave in enumerate(stage_waves(plan))
-            for node_id in wave
-        }
-        assert set(wave_of) == set(plan.nodes)
-        for node in plan.nodes.values():
-            for input_id in node.inputs:
-                assert wave_of[input_id] < wave_of[node.id]

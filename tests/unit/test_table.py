@@ -1,5 +1,7 @@
 """Unit tests for repro.data.table."""
 
+import datetime
+
 import pytest
 
 from repro.data import Schema, Table
@@ -197,11 +199,22 @@ class TestSorting:
         ).sorted_by(["v"])
         assert table.column("v") == [None, 1, 2]
 
-    def test_mixed_types_fall_back_to_string_order(self):
-        table = Table.from_rows(
-            Schema.of("v"), [(2,), ("b",), (1,)]
-        ).sorted_by(["v"])
-        assert table.num_rows == 3  # no crash; deterministic
+    def test_mixed_types_sort_by_the_order_table(self):
+        # None < numbers (True == 1) < NaN < str < dates < the rest;
+        # descending reverses the ranks, ties keep row order.
+        cells = [2, "b", 1, None, float("nan"), "10",
+                 datetime.date(2020, 1, 1), [1], True]
+        table = Table(Schema.of("v"), {"v": cells})
+        ascending = table.sorted_by(["v"]).column("v")
+        assert [repr(v) for v in ascending] == [
+            "None", "1", "True", "2", "nan", "'10'", "'b'",
+            "datetime.date(2020, 1, 1)", "[1]",
+        ]
+        descending = table.sorted_by(["v"], [True]).column("v")
+        assert [repr(v) for v in descending] == [
+            "[1]", "datetime.date(2020, 1, 1)", "'b'", "'10'", "nan",
+            "2", "1", "True", "None",
+        ]
 
     def test_sort_unknown_key_raises(self):
         with pytest.raises(SchemaError):
