@@ -61,7 +61,8 @@ def test_ablation_cube_cache(benchmark):
 
     result = benchmark(cached_cube.query, tasks, SELECTION)
     assert result.num_rows == 2
-    assert cached_cube.stats.hit_rate > 0.9
+    # every query after the warm-up hits, however many rounds ran
+    assert cached_cube.stats.cache_hits == cached_cube.stats.queries - 1
 
     uncached_cube, tasks = make_cube(enable_cache=False)
     started = time.perf_counter()

@@ -11,12 +11,12 @@ import time
 
 import pytest
 
-from conftest import report_interactive
-
 from repro.data import Schema, Table
 from repro.engine.datacube import DataCube
 from repro.tasks.base import WidgetSelection
 from repro.tasks.registry import default_task_registry
+
+from benchmarks.conftest import report
 
 SIZES = [1_000, 10_000, 50_000]
 
@@ -93,7 +93,7 @@ def test_repeated_gesture_cached(benchmark, size):
 
 
 def test_gesture_summary_recorded():
-    """Record cold-vs-cached gesture latency in BENCH_interactive.json."""
+    """Record cold-vs-cached gesture latency under results/."""
     size = 10_000 if os.environ.get("BENCH_SMOKE") == "1" else 50_000
     cube = DataCube("bench", endpoint(size))
     tasks = pipeline()
@@ -108,11 +108,8 @@ def test_gesture_summary_recorded():
     cached_s = time.perf_counter() - start
 
     assert cube.stats.cache_hits == 1
-    report_interactive(
+    report(
         "cube_gesture",
-        {
-            "rows": size,
-            "cold_ms": round(cold_s * 1000, 3),
-            "cached_ms": round(cached_s * 1000, 3),
-        },
+        f"cube gesture over {size} rows: cold {cold_s * 1000:.3f} ms, "
+        f"cached {cached_s * 1000:.3f} ms",
     )

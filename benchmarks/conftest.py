@@ -8,26 +8,11 @@ measured comparison in EXPERIMENTS.md can be refreshed from a run.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import pytest
 
 RESULTS_DIR = Path(__file__).parent / "results"
-
-INTERACTIVE_JSON = RESULTS_DIR / "BENCH_interactive.json"
-
-BATCH_JSON = RESULTS_DIR / "BENCH_batch.json"
-
-INGEST_JSON = RESULTS_DIR / "BENCH_ingest.json"
-
-SERVING_JSON = RESULTS_DIR / "BENCH_serving.json"
-
-MULTICORE_JSON = RESULTS_DIR / "BENCH_multicore.json"
-
-INCREMENTAL_JSON = RESULTS_DIR / "BENCH_incremental.json"
-
-ENCODING_JSON = RESULTS_DIR / "BENCH_encoding.json"
 
 
 def report(name: str, text: str) -> None:
@@ -35,142 +20,6 @@ def report(name: str, text: str) -> None:
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
     print(f"\n{text}")
-
-
-def report_interactive(section: str, payload: dict) -> None:
-    """Merge one benchmark's numbers into ``BENCH_interactive.json``.
-
-    Each interactive benchmark owns one top-level key, so partial runs
-    (e.g. CI smoke mode) update their section without clobbering the
-    rest of the file.
-    """
-    RESULTS_DIR.mkdir(exist_ok=True)
-    merged: dict = {}
-    if INTERACTIVE_JSON.exists():
-        merged = json.loads(INTERACTIVE_JSON.read_text(encoding="utf-8"))
-    merged[section] = payload
-    INTERACTIVE_JSON.write_text(
-        json.dumps(merged, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    print(f"\n{section}: {json.dumps(payload, sort_keys=True)}")
-
-
-def report_batch(section: str, payload: dict) -> None:
-    """Merge one benchmark's numbers into ``BENCH_batch.json``.
-
-    Same merge discipline as :func:`report_interactive`: each batch
-    benchmark owns one top-level key, so smoke runs update their
-    section without clobbering full-mode results.
-    """
-    RESULTS_DIR.mkdir(exist_ok=True)
-    merged: dict = {}
-    if BATCH_JSON.exists():
-        merged = json.loads(BATCH_JSON.read_text(encoding="utf-8"))
-    merged[section] = payload
-    BATCH_JSON.write_text(
-        json.dumps(merged, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    print(f"\n{section}: {json.dumps(payload, sort_keys=True)}")
-
-
-def report_ingest(section: str, payload: dict) -> None:
-    """Merge one benchmark's numbers into ``BENCH_ingest.json``.
-
-    Same merge discipline as :func:`report_interactive`: each ingestion
-    benchmark owns one top-level key, so smoke runs update their
-    section without clobbering full-mode results.
-    """
-    RESULTS_DIR.mkdir(exist_ok=True)
-    merged: dict = {}
-    if INGEST_JSON.exists():
-        merged = json.loads(INGEST_JSON.read_text(encoding="utf-8"))
-    merged[section] = payload
-    INGEST_JSON.write_text(
-        json.dumps(merged, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    print(f"\n{section}: {json.dumps(payload, sort_keys=True)}")
-
-
-def report_serving(section: str, payload: dict) -> None:
-    """Merge one load-harness phase into ``BENCH_serving.json``.
-
-    Same merge discipline as :func:`report_interactive`: each section
-    (steady/overload/recovery/verdict) owns one top-level key, so CI
-    smoke runs update their sections without clobbering full-mode
-    results.
-    """
-    RESULTS_DIR.mkdir(exist_ok=True)
-    merged: dict = {}
-    if SERVING_JSON.exists():
-        merged = json.loads(SERVING_JSON.read_text(encoding="utf-8"))
-    merged[section] = payload
-    SERVING_JSON.write_text(
-        json.dumps(merged, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    print(f"\n{section}: {json.dumps(payload, sort_keys=True)}")
-
-
-def report_multicore(section: str, payload: dict) -> None:
-    """Merge one benchmark's numbers into ``BENCH_multicore.json``.
-
-    Same merge discipline as :func:`report_interactive`: each
-    multi-core benchmark owns one top-level key, so smoke runs update
-    their section without clobbering full-mode results.  Every section
-    records the host's ``cpus`` so readers can tell a single-core
-    correctness run from a real multi-core measurement.
-    """
-    RESULTS_DIR.mkdir(exist_ok=True)
-    merged: dict = {}
-    if MULTICORE_JSON.exists():
-        merged = json.loads(MULTICORE_JSON.read_text(encoding="utf-8"))
-    merged[section] = payload
-    MULTICORE_JSON.write_text(
-        json.dumps(merged, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    print(f"\n{section}: {json.dumps(payload, sort_keys=True)}")
-
-
-def report_incremental(section: str, payload: dict) -> None:
-    """Merge one benchmark's numbers into ``BENCH_incremental.json``.
-
-    Same merge discipline as :func:`report_interactive`: each refresh
-    benchmark owns one top-level key, so smoke runs update their
-    section without clobbering full-mode results.
-    """
-    RESULTS_DIR.mkdir(exist_ok=True)
-    merged: dict = {}
-    if INCREMENTAL_JSON.exists():
-        merged = json.loads(INCREMENTAL_JSON.read_text(encoding="utf-8"))
-    merged[section] = payload
-    INCREMENTAL_JSON.write_text(
-        json.dumps(merged, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    print(f"\n{section}: {json.dumps(payload, sort_keys=True)}")
-
-
-def report_encoding(section: str, payload: dict) -> None:
-    """Merge one benchmark's numbers into ``BENCH_encoding.json``.
-
-    Same merge discipline as :func:`report_interactive`: each encoding
-    benchmark owns one top-level key, so smoke runs update their
-    section without clobbering full-mode results.
-    """
-    RESULTS_DIR.mkdir(exist_ok=True)
-    merged: dict = {}
-    if ENCODING_JSON.exists():
-        merged = json.loads(ENCODING_JSON.read_text(encoding="utf-8"))
-    merged[section] = payload
-    ENCODING_JSON.write_text(
-        json.dumps(merged, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    print(f"\n{section}: {json.dumps(payload, sort_keys=True)}")
 
 
 @pytest.fixture(scope="session")

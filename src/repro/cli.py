@@ -101,20 +101,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default="auto",
         help=(
             "process-pool lifetime with --executor processes: auto "
-            "(default; reuse the platform's warm pool when one exists), "
-            "keep (warm a persistent pool and reuse it), per-run (one "
-            "pool for this run), per-stage (cold fork every stage)"
-        ),
-    )
-    run.add_argument(
-        "--small-job-bytes",
-        type=int,
-        default=None,
-        metavar="BYTES",
-        help=(
-            "stay sequential when the estimated source payload is "
-            "below this many bytes; 0 always parallelizes (default: "
-            "8 MiB, or the REPRO_SMALL_JOB_BYTES env var)"
+            "(default; reuse the platform's warm pool when one exists, "
+            "else cold fork every stage) or keep (warm a persistent "
+            "pool and reuse it)"
         ),
     )
     run.add_argument(
@@ -274,7 +263,6 @@ def _cmd_run(args) -> int:
         parallelism=getattr(args, "parallelism", 1),
         executor=getattr(args, "executor", "threads"),
         pool=getattr(args, "pool", "auto"),
-        small_job_bytes=getattr(args, "small_job_bytes", None),
     )
     print(
         f"ran {name!r} on the {report.engine} engine in "

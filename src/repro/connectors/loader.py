@@ -32,7 +32,6 @@ Two ingestion fast paths live here:
 from __future__ import annotations
 
 import logging
-import os
 from dataclasses import dataclass, field
 from functools import partial
 from time import perf_counter
@@ -106,9 +105,7 @@ class DataObjectLoader:
         self.connectors = connectors or default_connector_registry()
         self.formats = formats or default_format_registry()
         self.observability = observability or Observability()
-        # the instance default is overridable per call (load_many),
-        # per process (REPRO_SMALL_JOB_BYTES), or by assignment
-        self.small_job_bytes = default_small_job_bytes()
+        self.small_job_bytes = self.DEFAULT_SMALL_JOB_BYTES
 
     def load(self, schema: Schema, config: Mapping[str, Any]) -> Table:
         """Fetch + decode a data object into a table."""
@@ -241,7 +238,6 @@ class DataObjectLoader:
         parallelism: int = 1,
         executor: str = "threads",
         pool: ProcessPool | None = None,
-        small_job_bytes: int | None = None,
     ) -> list[Table]:
         """Load several data objects, optionally concurrently.
 
@@ -266,13 +262,9 @@ class DataObjectLoader:
         parallelism settings; set ``small_job_bytes = 0`` to disable
         the fallback (the determinism tests do).
 
-        ``small_job_bytes`` (``None`` = this loader's configured
-        default) overrides the threshold for one call — the CLI
-        ``--small-job-bytes`` flag and the REST ``?small_job_bytes=``
-        parameter land here.  ``pool`` lends a warm
-        :class:`~repro.engine.scheduler.ProcessPool` for the
-        ``processes`` executor; without one the cold fork path runs as
-        before.
+        ``pool`` lends a warm :class:`~repro.engine.scheduler.ProcessPool`
+        for the ``processes`` executor; without one the cold fork path
+        runs as before.
         """
         specs = list(specs)
         if not specs:
@@ -280,14 +272,7 @@ class DataObjectLoader:
         plans = [
             self._plan_spec(schema, config) for schema, config in specs
         ]
-        threshold = (
-            self.small_job_bytes
-            if small_job_bytes is None
-            else max(0, int(small_job_bytes))
-        )
-        reason = self._sequential_fallback_reason(
-            plans, parallelism, threshold
-        )
+        reason = self._sequential_fallback_reason(plans, parallelism)
         if reason is not None:
             _LOG.info("parallel loading fell back to sequential: %s", reason)
             self.observability.metrics.counter(
@@ -313,7 +298,6 @@ class DataObjectLoader:
         self,
         plans: Sequence[Mapping[str, Any]],
         parallelism: int,
-        threshold: int | None = None,
     ) -> str | None:
         """Why a parallel load should run sequentially, or None.
 
@@ -323,8 +307,7 @@ class DataObjectLoader:
         """
         if parallelism <= 1 or len(plans) <= 1:
             return None
-        if threshold is None:
-            threshold = self.small_job_bytes
+        threshold = self.small_job_bytes
         if threshold <= 0:
             return None
         largest = 0
@@ -499,22 +482,6 @@ class DataObjectLoader:
         self.observability.metrics.counter(
             CONNECTOR_BYTES, "Raw payload bytes fetched by protocol"
         ).inc(payload_bytes, protocol=protocol)
-
-
-def default_small_job_bytes() -> int:
-    """The small-job threshold for new loaders.
-
-    ``REPRO_SMALL_JOB_BYTES`` overrides the built-in 8 MiB default per
-    process (0 disables the sequential fallback); an unparsable value
-    is ignored rather than failing loader construction.
-    """
-    raw = os.environ.get("REPRO_SMALL_JOB_BYTES")
-    if raw is not None:
-        try:
-            return max(0, int(raw))
-        except ValueError:
-            pass
-    return DataObjectLoader.DEFAULT_SMALL_JOB_BYTES
 
 
 class _LoadUnit:

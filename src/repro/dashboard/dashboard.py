@@ -164,7 +164,6 @@ class Dashboard:
         parallelism: int = 1,
         executor: str = "threads",
         pool: Any = None,
-        small_job_bytes: int | None = None,
     ) -> RunReport:
         """Execute the batch half; returns the run report.
 
@@ -192,9 +191,7 @@ class Dashboard:
         :class:`~repro.engine.scheduler.ProcessPool` to both the
         source prefetch and the distributed engine (``processes``
         executor only; ignored otherwise) — outputs stay identical,
-        stages just skip the per-stage fork cost.  ``small_job_bytes``
-        overrides the prefetch small-job threshold for this run
-        (``None`` = the loader's configured default).
+        stages just skip the per-stage fork cost.
         """
         context = self._task_context()
         plan = self.compiled.plan
@@ -218,13 +215,7 @@ class Dashboard:
             "dashboard.run", dashboard=self.name, engine=engine
         ) as root:
             try:
-                self._prefetch_sources(
-                    plan,
-                    parallelism,
-                    executor,
-                    pool=pool,
-                    small_job_bytes=small_job_bytes,
-                )
+                self._prefetch_sources(plan, parallelism, executor, pool=pool)
                 if engine == "local":
                     result = LocalExecutor(
                         self._resolve_source,
@@ -645,7 +636,6 @@ class Dashboard:
         parallelism: int,
         executor: str = "threads",
         pool: Any = None,
-        small_job_bytes: int | None = None,
     ) -> None:
         """Load the plan's loader-backed sources up front, concurrently.
 
@@ -685,11 +675,7 @@ class Dashboard:
             "sources.load", sources=len(names)
         ):
             tables = self.loader.load_many(
-                specs,
-                parallelism,
-                executor,
-                pool=pool,
-                small_job_bytes=small_job_bytes,
+                specs, parallelism, executor, pool=pool
             )
         self._prefetched = dict(zip(names, tables))
 

@@ -77,10 +77,9 @@ EXECUTORS = ("threads", "processes")
 TRANSPORTS = ("shared-memory", "frame")
 
 #: how a run uses the platform's warm pool (CLI ``run --pool``):
-#: ``auto`` uses the platform pool when one is warm, ``per-stage``
-#: forces the cold fork-per-stage path, ``per-run`` forks a private
-#: pool for one run, ``keep`` warms the persistent platform pool
-POOL_MODES = ("auto", "per-stage", "per-run", "keep")
+#: ``auto`` uses the platform pool when one is warm and cold-forks
+#: every stage otherwise, ``keep`` warms the persistent platform pool
+POOL_MODES = ("auto", "keep")
 
 #: flush the child's result buffer once this many pickled bytes
 #: accumulate — small unit results batch into one write, large tables

@@ -22,6 +22,7 @@ resilience layer uses — so traces are instant and exact under a
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -69,21 +70,32 @@ class Span:
         }
 
 
+class _OpenSpans(threading.local):
+    """One thread's open spans, outermost first, and the number of the
+    last span it opened in its current trace."""
+
+    def __init__(self) -> None:
+        self.stack: list[Span] = []
+        self.seq = 0
+
+
 class Tracer:
     """Produces hierarchical spans with deterministic ids.
 
-    Spans nest through an explicit stack: :meth:`span` parents the new
-    span under the innermost open one, starting a fresh trace when none
-    is open.  Finished traces are kept (most-recent-last) up to
-    ``max_traces``; older ones are evicted.
+    Spans nest through an explicit stack per thread: :meth:`span`
+    parents the new span under the calling thread's innermost open one,
+    starting a fresh trace when none is open, so concurrent requests
+    never share a trace.  Span numbers count within their trace.
+    Finished traces are kept (most-recent-last) up to ``max_traces``;
+    older ones are evicted.
     """
 
     def __init__(self, clock: Clock | None = None, max_traces: int = 64):
         self._clock = clock or WallClock()
         self._max_traces = max(1, max_traces)
         self._trace_seq = 0
-        self._span_seq = 0
-        self._stack: list[Span] = []
+        self._lock = threading.Lock()
+        self._open = _OpenSpans()
         self._traces: OrderedDict[str, list[Span]] = OrderedDict()
 
     # -- recording ---------------------------------------------------------
@@ -101,37 +113,40 @@ class Tracer:
 
     def start_span(self, name: str, **attrs: Any) -> Span:
         """Open a span imperatively (prefer the :meth:`span` manager)."""
-        if self._stack:
-            parent = self._stack[-1]
-            trace_id = parent.trace_id
-            parent_id = parent.span_id
-            self._span_seq += 1
-        else:
-            self._trace_seq += 1
-            trace_id = f"t{self._trace_seq:04d}"
-            parent_id = None
-            self._span_seq = 1
-            self._traces[trace_id] = []
-            while len(self._traces) > self._max_traces:
-                self._traces.popitem(last=False)
-        span = Span(
-            name=name,
-            trace_id=trace_id,
-            span_id=f"{trace_id}.{self._span_seq}",
-            parent_id=parent_id,
-            start=self._clock.now(),
-            attrs=dict(attrs),
-        )
-        # The trace may have been evicted if more than max_traces opened
-        # while this one was still running; re-register quietly.
-        self._traces.setdefault(trace_id, []).append(span)
-        self._stack.append(span)
+        opened = self._open
+        with self._lock:
+            if opened.stack:
+                parent = opened.stack[-1]
+                trace_id = parent.trace_id
+                parent_id = parent.span_id
+                opened.seq += 1
+            else:
+                self._trace_seq += 1
+                trace_id = f"t{self._trace_seq:04d}"
+                parent_id = None
+                opened.seq = 1
+                self._traces[trace_id] = []
+                while len(self._traces) > self._max_traces:
+                    self._traces.popitem(last=False)
+            span = Span(
+                name=name,
+                trace_id=trace_id,
+                span_id=f"{trace_id}.{opened.seq}",
+                parent_id=parent_id,
+                start=self._clock.now(),
+                attrs=dict(attrs),
+            )
+            # The trace may have been evicted if more than max_traces
+            # opened while this one was still running; re-register quietly.
+            self._traces.setdefault(trace_id, []).append(span)
+        opened.stack.append(span)
         return span
 
     def end_span(self, span: Span) -> None:
-        """Close ``span`` (and anything left open underneath it)."""
-        while self._stack:
-            top = self._stack.pop()
+        """Close ``span`` (and anything this thread left open under it)."""
+        stack = self._open.stack
+        while stack:
+            top = stack.pop()
             if top.end is None:
                 top.end = self._clock.now()
             if top is span:
@@ -139,8 +154,9 @@ class Tracer:
 
     @property
     def current(self) -> Span | None:
-        """The innermost open span, if any."""
-        return self._stack[-1] if self._stack else None
+        """The calling thread's innermost open span, if any."""
+        stack = self._open.stack
+        return stack[-1] if stack else None
 
     # -- reading -----------------------------------------------------------
     def trace_ids(self) -> list[str]:

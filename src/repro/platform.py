@@ -307,24 +307,18 @@ class Platform:
         parallelism: int = 1,
         executor: str = "threads",
         pool: str = "auto",
-        small_job_bytes: int | None = None,
     ) -> RunReport:
         mode = resolve_pool_mode(pool)
         dashboard = self.get_dashboard(name)
         run_pool: ProcessPool | None = None
-        private_pool: ProcessPool | None = None
         if executor == "processes":
-            if mode == "auto":
-                run_pool = self.pool
-            elif mode == "keep":
-                run_pool = self.warm_pool(workers=max(1, parallelism))
-            elif mode == "per-run":
-                private_pool = ProcessPool(
-                    max(1, parallelism),
-                    metrics=self.observability.metrics,
-                )
-                run_pool = private_pool
-            # "per-stage": leave run_pool None — cold fork per stage
+            # "auto" without a warm pool leaves run_pool None: the engine
+            # cold-forks every stage
+            run_pool = (
+                self.warm_pool(workers=max(1, parallelism))
+                if mode == "keep"
+                else self.pool
+            )
         try:
             # One run at a time per dashboard: concurrent POST .../run
             # calls serialize here instead of interleaving materialized
@@ -337,7 +331,6 @@ class Platform:
                     parallelism=parallelism,
                     executor=executor,
                     pool=run_pool,
-                    small_job_bytes=small_job_bytes,
                 )
         except ShareInsightsError as exc:
             self._log(
@@ -352,9 +345,6 @@ class Platform:
                 user,
             )
             raise
-        finally:
-            if private_pool is not None:
-                private_pool.close()
         detail = {
             "engine": report.engine,
             "rows_produced": report.rows_produced,

@@ -46,7 +46,7 @@ from typing import Any, Callable, Iterable
 from urllib.parse import parse_qsl
 
 from repro.engine.query_cache import QueryResultCache
-from repro.engine.scheduler import POOL_MODES
+from repro.engine.scheduler import resolve_executor, resolve_pool_mode
 from repro.errors import (
     DeadlineExceededError,
     QueryError,
@@ -215,33 +215,11 @@ class ShareInsightsApp:
                     f"parallelism must be a positive integer, "
                     f"got {raw_parallelism!r}",
                 )
-            executor = str(query.get("executor", "threads")).lower()
-            if executor not in ("threads", "processes"):
-                return _error(
-                    400,
-                    f"executor must be 'threads' or 'processes', "
-                    f"got {query.get('executor')!r}",
-                )
-            pool = str(query.get("pool", "auto")).lower()
-            if pool not in POOL_MODES:
-                return _error(
-                    400,
-                    f"pool must be one of {', '.join(POOL_MODES)}, "
-                    f"got {query.get('pool')!r}",
-                )
-            raw_small = query.get("small_job_bytes")
-            small_job_bytes = None
-            if raw_small is not None:
-                try:
-                    small_job_bytes = int(raw_small)
-                    if small_job_bytes < 0:
-                        raise ValueError
-                except ValueError:
-                    return _error(
-                        400,
-                        f"small_job_bytes must be a non-negative "
-                        f"integer, got {raw_small!r}",
-                    )
+            try:
+                executor = resolve_executor(query.get("executor", "threads"))
+                pool = resolve_pool_mode(query.get("pool", "auto"))
+            except ValueError as exc:
+                return _error(400, str(exc))
             report = self.platform.run_dashboard(
                 name,
                 engine=query.get("engine"),
@@ -249,7 +227,6 @@ class ShareInsightsApp:
                 parallelism=parallelism,
                 executor=executor,
                 pool=pool,
-                small_job_bytes=small_job_bytes,
             )
             payload = {
                 "dashboard": name,

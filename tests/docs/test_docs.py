@@ -3,7 +3,9 @@ are documented.
 
 Three enforcement layers over ``README.md`` + ``docs/*.md``:
 
-- every intra-repo markdown link points at a file that exists;
+- every intra-repo markdown link, and every backticked repo path
+  (``src/…``, ``benchmarks/…``, ``tests/…``, ``examples/…``,
+  ``docs/…``), points at a file that exists;
 - every fenced ``python`` snippet compiles and every fenced ``bash``
   snippet passes ``bash -n`` (documentation code must at least parse);
 - every public module under ``src/repro/`` carries a module docstring
@@ -24,6 +26,10 @@ REPO = Path(__file__).resolve().parents[2]
 
 _LINK = re.compile(r"\[([^\]]*)\]\(([^)\s]+)\)")
 _FENCE = re.compile(r"```(\w+)?\n(.*?)```", re.DOTALL)
+_CODE_SPAN = re.compile(r"`([^`\n]+)`")
+_REPO_ROOTS = ("src/", "benchmarks/", "tests/", "examples/", "docs/")
+#: git-ignored output directories: what is written there need not exist
+_OUTPUT_DIRS = ("benchmarks/results/", "benchmarks/e2e/.work/")
 
 
 def doc_files() -> list[Path]:
@@ -45,6 +51,30 @@ def broken_links(path: Path) -> list[str]:
         resolved = (path.parent / relative).resolve()
         if not resolved.exists():
             problems.append(f"{path.name}: [{text}]({target}) -> missing")
+    return problems
+
+
+def dangling_paths(path: Path) -> list[str]:
+    """Backticked repo paths in one markdown file that do not exist.
+
+    A ``:line`` or ``::test`` suffix is dropped, and a path with a
+    ``*`` must match at least one file.
+    """
+    prose = _FENCE.sub("", path.read_text(encoding="utf-8"))
+    problems = []
+    for span in _CODE_SPAN.findall(prose):
+        for token in span.split():
+            if not token.startswith(_REPO_ROOTS) or token.startswith(
+                _OUTPUT_DIRS
+            ):
+                continue
+            relative = token.split(":", 1)[0]
+            if "*" in relative:
+                found = any(REPO.glob(relative))
+            else:
+                found = (REPO / relative).exists()
+            if not found:
+                problems.append(f"{path.name}: `{span}` -> missing")
     return problems
 
 
@@ -81,6 +111,29 @@ def test_checker_flags_a_broken_link(tmp_path):
     problems = broken_links(page)
     assert len(problems) == 1
     assert "no/such/file.md" in problems[0]
+
+
+@pytest.mark.parametrize("path", doc_files(), ids=lambda p: p.name)
+def test_backticked_repo_paths_exist(path):
+    assert dangling_paths(path) == []
+
+
+def test_checker_flags_a_dangling_code_path(tmp_path):
+    """A backticked path to a file that is gone is reported; suffixes,
+    globs and the git-ignored output directories are understood."""
+    page = tmp_path / "page.md"
+    page.write_text(
+        "Fine: `src/repro/cli.py:97`, `tests/docs/test_docs.py::"
+        "test_checker_flags_a_broken_link`, `docs/*.md`, "
+        "`benchmarks/results/BENCH_x.json`, `python3 "
+        "benchmarks/e2e/run.py --smoke`.\n"
+        "Dangling: `benchmarks/bench_gone.py`\n"
+        "```bash\ncat src/fenced/blocks/are/not/prose.py\n```\n",
+        encoding="utf-8",
+    )
+    problems = dangling_paths(page)
+    assert len(problems) == 1
+    assert "benchmarks/bench_gone.py" in problems[0]
 
 
 def test_docs_cross_link_each_other():

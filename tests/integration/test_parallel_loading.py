@@ -253,31 +253,14 @@ class TestSmallJobFallback:
         metrics = platform.observability.metrics
         assert metrics.get("repro_ingest_parallel_fallback_total") is None
 
-    def test_per_run_override_beats_loader_default(self, workspace):
-        # The loader keeps its 8 MiB default, but this one run opts
-        # out of the fallback via the small_job_bytes parameter — the
-        # knob behind --small-job-bytes and ?small_job_bytes=.
+    def test_zero_threshold_disables_fallback(self, workspace):
+        # Sources far below the 8 MiB default still load in parallel
+        # once the threshold is 0.
         platform = Platform()
         platform.create_dashboard("multi", FLOW, data_dir=workspace)
+        platform.loader.small_job_bytes = 0
         platform.get_dashboard("multi").run_flows(
-            engine="distributed", parallelism=4, small_job_bytes=0
+            engine="distributed", parallelism=4
         )
         metrics = platform.observability.metrics
         assert metrics.get("repro_ingest_parallel_fallback_total") is None
-
-    def test_env_var_sets_loader_default(self, workspace, monkeypatch):
-        from repro.connectors.loader import (
-            DataObjectLoader,
-            default_small_job_bytes,
-        )
-
-        monkeypatch.setenv("REPRO_SMALL_JOB_BYTES", "123")
-        assert default_small_job_bytes() == 123
-        assert DataObjectLoader().small_job_bytes == 123
-        # Garbage and negatives fall back to the built-in default.
-        monkeypatch.setenv("REPRO_SMALL_JOB_BYTES", "lots")
-        assert default_small_job_bytes() == (
-            DataObjectLoader.DEFAULT_SMALL_JOB_BYTES
-        )
-        monkeypatch.setenv("REPRO_SMALL_JOB_BYTES", "-5")
-        assert default_small_job_bytes() == 0

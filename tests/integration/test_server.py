@@ -138,28 +138,6 @@ class TestRunParallelism:
             assert status.startswith("400"), bad
             assert "parallelism" in json.loads(body)["error"]["detail"]
 
-    def test_run_accepts_small_job_bytes(self, client):
-        created(client)
-        status, body = client(
-            "POST",
-            "/dashboards/proj/run",
-            query="engine=distributed&parallelism=2&small_job_bytes=0",
-        )
-        assert status == "200 OK"
-        assert json.loads(body)["rows_produced"] == 2
-
-    def test_run_rejects_bad_small_job_bytes(self, client):
-        created(client)
-        for bad in ("lots", "-1", "1.5"):
-            status, body = client(
-                "POST",
-                "/dashboards/proj/run",
-                query=f"small_job_bytes={bad}",
-            )
-            assert status.startswith("400"), bad
-            detail = json.loads(body)["error"]["detail"]
-            assert "small_job_bytes" in detail
-
     def test_run_rejects_bad_pool_mode(self, client):
         created(client)
         status, body = client(
@@ -168,9 +146,17 @@ class TestRunParallelism:
         assert status.startswith("400")
         assert "pool" in json.loads(body)["error"]["detail"]
 
+    def test_run_rejects_bad_executor(self, client):
+        created(client)
+        status, body = client(
+            "POST", "/dashboards/proj/run", query="executor=fibers"
+        )
+        assert status.startswith("400")
+        assert "executor" in json.loads(body)["error"]["detail"]
+
     def test_run_accepts_pool_modes(self, client):
         created(client)
-        for mode in ("auto", "per-stage", "per-run", "keep"):
+        for mode in ("auto", "keep"):
             status, _body = client(
                 "POST",
                 "/dashboards/proj/run",

@@ -9,6 +9,7 @@ ShareInsightsApp → platform.
 
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -327,3 +328,118 @@ class TestBackpressure:
             release.set()
             handle.tier.app = original
             handle.shutdown(drain_timeout=1.0)
+
+
+#: statuses the tier mints on purpose; any other 5xx is a bug
+INTENTIONAL = {429, 503, 504}
+
+
+def _sample(base, method, path):
+    """(status, seconds, has Retry-After), or None on connection noise
+    (an accept-backlog overflow is not an HTTP answer)."""
+    started = time.perf_counter()
+    try:
+        status, headers, _body = _request(base, method, path)
+    except OSError:
+        return None
+    return status, time.perf_counter() - started, "Retry-After" in headers
+
+
+def _phase(base, seconds, fleets):
+    """Run ``(clients, plan)`` fleets closed-loop for ``seconds``;
+    returns every sample."""
+    samples = []
+    stop = threading.Event()
+
+    def client(index, plan):
+        step = index
+        while not stop.is_set():
+            sample = _sample(base, *plan[step % len(plan)])
+            if sample is not None:
+                samples.append(sample)
+            step += 1
+
+    threads = [
+        threading.Thread(target=client, args=(i, plan), daemon=True)
+        for count, plan in fleets
+        for i in range(count)
+    ]
+    for thread in threads:
+        thread.start()
+    time.sleep(seconds)
+    stop.set()
+    for thread in threads:
+        thread.join(timeout=10.0)
+    assert not any(thread.is_alive() for thread in threads)
+    return samples
+
+
+class TestOverloadContract:
+    """Readers, then readers plus a fleet of runners (every ``POST
+    .../run`` a real recompute), then readers again: backpressure turns
+    overload into fast, structured rejections, never slow answers or
+    unintended 5xx; cheap reads keep flowing, and the server still
+    drains cleanly.  Whether the overload phase sheds at all depends on
+    how much load the client threads manage to offer on a busy host, so
+    it is not asserted."""
+
+    def test_overload_answers_fast_and_drains_clean(self):
+        config = ServingConfig(
+            workers=4, queue_depth=8, request_timeout=2.0,
+            rate_limit=150.0, rate_burst=50, controller_window=0.25,
+            drain_timeout=10.0,
+        )
+        platform = Platform()
+        platform.create_dashboard("load", FLOW, inline_tables={
+            "raw": Table.from_rows(
+                RAW.schema,
+                [(f"p{i}", f"c{i % 40}", i % 1000) for i in range(5_000)],
+            )
+        })
+        platform.run_dashboard("load")
+        ready = threading.Event()
+        handle = serve(platform, port=0, ready_event=ready, config=config)
+        threading.Thread(target=handle.serve_forever, daemon=True).start()
+        assert ready.wait(5.0)
+        host, port = handle.server_address
+        base = f"http://{host}:{port}"
+        reads = [
+            ("GET", "/dashboards/load/ds/counts?tenant=readers"),
+            ("GET", "/dashboards/load/ds/counts/orderby/projects/desc"
+                    "?tenant=readers"),
+            ("GET", "/metrics"),
+        ]
+        runs = [("POST", "/dashboards/load/run?tenant=runners")]
+        try:
+            _request(base, *reads[0])  # warm the query cache
+            phases = {"steady": _phase(base, 0.8, [(4, reads)])}
+            phases["overload"] = _phase(base, 0.8, [(4, reads), (16, runs)])
+            # One controller window to see the calm, then wait for it
+            # to flip back before measuring the readers again.
+            time.sleep(config.controller_window)
+            deadline = time.perf_counter() + 5.0
+            while time.perf_counter() < deadline:
+                snapshot = handle.tier.snapshot()
+                if snapshot["state"] == "normal" and not snapshot[
+                    "queue_depth"
+                ]:
+                    break
+                time.sleep(0.05)
+            phases["recovery"] = _phase(base, 0.8, [(4, reads)])
+        finally:
+            drained = handle.shutdown(drain_timeout=10.0)
+
+        limit = config.request_timeout + 0.5
+        for name, samples in phases.items():
+            bad = [
+                s for s, _t, _r in samples if s >= 500 and s not in INTENTIONAL
+            ]
+            assert not bad, f"{name}: unintentional {sorted(set(bad))}"
+            assert all(
+                retry for s, _t, retry in samples if s in (429, 503)
+            ), f"{name}: a 429/503 without Retry-After"
+            admitted = sorted(t for s, t, _r in samples if 200 <= s < 300)
+            assert admitted, f"{name}: no request was admitted"
+            p99 = admitted[min(len(admitted) - 1, int(0.99 * len(admitted)))]
+            assert p99 <= limit, f"{name}: admitted p99 {p99:.3f} s"
+        assert drained is True

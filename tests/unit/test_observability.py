@@ -7,6 +7,8 @@ profiling/integrity utilities the CLI and tests build on.
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.errors import ShareInsightsError
@@ -90,6 +92,37 @@ def test_new_root_after_previous_trace_closes():
     assert second == "t0002"
     assert tracer.trace_ids() == ["t0001", "t0002"]
     assert tracer.last_trace_id == "t0002"
+
+
+def test_concurrent_threads_keep_separate_traces():
+    # Two requests interleave: each opens its root, then a child, while
+    # the other's spans are still open.  Each must stay its own trace.
+    tracer = Tracer(clock=SimulatedClock())
+    together = threading.Barrier(2, timeout=5.0)
+    opened = {}
+
+    def request(name):
+        with tracer.span(f"{name}.req") as req:
+            together.wait()  # both roots open
+            with tracer.span(f"{name}.child") as child:
+                together.wait()  # both children open
+            together.wait()  # both children closed
+        opened[name] = (req, child)
+
+    threads = [threading.Thread(target=request, args=(n,)) for n in "ab"]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(5.0)
+    assert sorted(opened) == ["a", "b"]
+    for req, child in opened.values():
+        assert req.parent_id is None
+        assert child.parent_id == req.span_id
+        assert child.span_id == f"{req.trace_id}.2"
+        assert tracer.trace(req.trace_id) == [req, child]
+        assert req.finished and child.finished
+    assert opened["a"][0].trace_id != opened["b"][0].trace_id
+    assert tracer.current is None
 
 
 def test_trace_retention_is_bounded():

@@ -228,7 +228,7 @@ class TestWarmProcessPool:
 
     def test_vocabulary(self):
         assert TRANSPORTS == ("shared-memory", "frame")
-        assert POOL_MODES == ("auto", "per-stage", "per-run", "keep")
+        assert POOL_MODES == ("auto", "keep")
         assert resolve_transport("Frame") == "frame"
         assert resolve_pool_mode("KEEP") == "keep"
         with pytest.raises(ValueError, match="unknown transport"):
