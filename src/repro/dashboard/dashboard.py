@@ -9,6 +9,10 @@ Lifecycle (mirroring the generated single-page app of paper §4.4):
 2. Widgets are instantiated from the registry; each non-static widget
    gets a :class:`~repro.engine.datacube.DataCube` holding its *server-
    side* pipeline output (the §6 transfer-minimized payload).
+   Tables, endpoint versions and cubes are built off to the side and
+   published together as one :class:`EndpointSnapshot`, installed with
+   one reference swap once everything succeeded (``refresh_flows()``
+   publishes the same way).
 3. ``select()`` updates a widget's selection; dependent widgets re-render
    by re-running their client-side pipelines in their cubes — the §3.5.1
    interaction model, with no event handlers anywhere.
@@ -17,12 +21,14 @@ Lifecycle (mirroring the generated single-page app of paper §4.4):
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Any, Mapping
 
 from repro.collab.catalog import SharedDataCatalog
-from repro.compiler.compiler import CompiledFlowFile, WidgetPlan
+from repro.compiler.compiler import CompiledFlowFile
 from repro.connectors.loader import DataObjectLoader
 from repro.dashboard.environment import EnvironmentProfile
 from repro.data import Schema, Table
@@ -37,6 +43,32 @@ from repro.widgets.base import Widget, WidgetView
 from repro.widgets.charts import Slider
 from repro.widgets.layout import GridRenderer, LayoutWidget, TabLayout
 from repro.widgets.registry import WidgetRegistry, default_widget_registry
+
+
+#: one serial per snapshot, across every dashboard: a larger serial is
+#: always a later publication
+_SERIALS = itertools.count()
+
+
+@dataclass(frozen=True)
+class EndpointSnapshot:
+    """What one run or refresh published, installed with one swap.
+
+    Every materialized table, the endpoint payloads (capped per the
+    environment profile), per-endpoint versions and widget cubes, all
+    built from the same tables and never mutated after install.  Runs
+    and refreshes replace the whole snapshot only once they succeeded.
+    """
+
+    tables: Mapping[str, Table] = field(default_factory=dict)
+    endpoints: Mapping[str, Table] = field(default_factory=dict)
+    versions: Mapping[str, int] = field(default_factory=dict)
+    cubes: Mapping[str, DataCube] = field(default_factory=dict)
+    serial: int = field(default_factory=lambda: next(_SERIALS))
+
+    def version(self, name: str) -> int:
+        """The endpoint's version (0 before any run)."""
+        return self.versions.get(name, 0)
 
 
 @dataclass
@@ -83,7 +115,7 @@ class RefreshReport:
     flows_incremental: list[str] = field(default_factory=list)
     #: flows recomputed from scratch, and why each one was: one of
     #: join_build_side_changed, outer_join, multi_input,
-    #: unsupported_task, upstream_recompute (empty on a "full" refresh)
+    #: unsupported_task, upstream_recompute
     flows_full: list[str] = field(default_factory=list)
     fallback_reasons: dict[str, str] = field(default_factory=dict)
     #: sources re-read whole instead of by delta, and why each one was:
@@ -126,11 +158,9 @@ class Dashboard:
         self._dictionaries = dict(dictionaries or {})
         #: programmatically supplied tables, taking priority over loads
         self._inline_tables = dict(inline_tables or {})
-        self._materialized: dict[str, Table] = {}
-        #: per-run snapshot of concurrently prefetched source tables
-        self._prefetched: dict[str, Table] = {}
+        #: the published tables, versions and cubes (see snapshot())
+        self._snapshot = EndpointSnapshot()
         self._widgets: dict[str, Widget] = {}
-        self._cubes: dict[str, DataCube] = {}
         self.last_run: RunReport | None = None
         self._last_node_stats: list = []
         self._last_stages: list = []
@@ -148,8 +178,6 @@ class Dashboard:
         self._source_watermarks: dict[str, tuple[int, int]] = {}
         #: per-flow incremental maintenance state
         self._flow_states: dict[str, Any] = {}
-        #: monotonic version per endpoint table; bumped when it changes
-        self._endpoint_versions: dict[str, int] = {}
         self.last_refresh: RefreshReport | None = None
         self._build_widgets()
 
@@ -214,94 +242,101 @@ class Dashboard:
         with obs.tracer.span(
             "dashboard.run", dashboard=self.name, engine=engine
         ) as root:
-            try:
-                self._prefetch_sources(plan, parallelism, executor, pool=pool)
-                if engine == "local":
-                    result = LocalExecutor(
-                        self._resolve_source,
-                        tracer=obs.tracer,
-                        metrics=obs.metrics,
-                    ).run(plan, context)
-                    report = RunReport(
-                        engine=engine,
-                        seconds=result.stats.seconds,
-                        rows_loaded=result.stats.rows_loaded,
-                        rows_produced=result.stats.rows_produced,
-                    )
-                    self._materialized.update(result.tables)
-                    self._last_node_stats = list(result.stats.node_stats)
-                    self._last_stages = []
-                elif engine == "distributed":
-                    from repro.resilience import FaultInjector
+            tables = dict(self._snapshot.tables)
+            self._prefetch_sources(plan, tables, parallelism, executor, pool)
+            resolve = partial(self._resolve_source, tables=tables)
+            if engine == "local":
+                result = LocalExecutor(
+                    resolve, tracer=obs.tracer, metrics=obs.metrics
+                ).run(plan, context)
+                report = RunReport(
+                    engine=engine,
+                    seconds=result.stats.seconds,
+                    rows_loaded=result.stats.rows_loaded,
+                    rows_produced=result.stats.rows_produced,
+                )
+                node_stats, stages = list(result.stats.node_stats), []
+            elif engine == "distributed":
+                from repro.resilience import FaultInjector
 
-                    injector = FaultInjector.from_profile(fault_profile)
-                    result = DistributedExecutor(
-                        self._resolve_source,
-                        fault_injector=injector,
-                        tracer=obs.tracer,
-                        metrics=obs.metrics,
-                        parallelism=parallelism,
-                        executor=executor,
-                        pool=pool,
-                    ).run(plan, context)
-                    report = RunReport(
-                        engine=engine,
-                        seconds=result.seconds,
-                        rows_produced=result.rows_produced,
-                        shuffled_records=result.total_shuffled_records,
-                        attempts=result.attempts,
-                        retried_partitions=result.retried_partitions,
-                        speculative_wins=result.speculative_wins,
-                        recovered_stages=list(result.recovered_stages),
-                    )
-                    self._materialized.update(result.tables)
-                    self._last_node_stats = []
-                    self._last_stages = list(result.stages)
-                else:
-                    raise ExecutionError(f"unknown engine {engine!r}")
-                report.flows_skipped = skipped
-                # A full run refreshes everything: nothing stays "fresh".
-                self._fresh_outputs = set(skipped)
-                # Refresh state is anchored to the data a run loaded;
-                # a full run re-reads sources from scratch, so cursors
-                # and per-flow states reset (the next refresh cycle
-                # re-bootstraps them) and every endpoint version bumps.
-                self._reset_refresh_state()
-                for endpoint in self.compiled.endpoint_names:
-                    self._bump_version(endpoint)
-                report.endpoints = self.compiled.endpoint_names
-                with obs.tracer.span("publish"):
-                    report.published = self._publish()
-                with obs.tracer.span("cubes.rebuild"):
-                    self._rebuild_cubes()
-                report.trace_id = root.trace_id
-            finally:
-                # The snapshot only serves this run; later lazy resolves
-                # (e.g. widget rebuilds) go back through the loader.
-                self._prefetched = {}
+                injector = FaultInjector.from_profile(fault_profile)
+                result = DistributedExecutor(
+                    resolve,
+                    fault_injector=injector,
+                    tracer=obs.tracer,
+                    metrics=obs.metrics,
+                    parallelism=parallelism,
+                    executor=executor,
+                    pool=pool,
+                ).run(plan, context)
+                report = RunReport(
+                    engine=engine,
+                    seconds=result.seconds,
+                    rows_produced=result.rows_produced,
+                    shuffled_records=result.total_shuffled_records,
+                    attempts=result.attempts,
+                    retried_partitions=result.retried_partitions,
+                    speculative_wins=result.speculative_wins,
+                    recovered_stages=list(result.recovered_stages),
+                )
+                node_stats, stages = [], list(result.stages)
+            else:
+                raise ExecutionError(f"unknown engine {engine!r}")
+            tables.update(result.tables)
+            report.flows_skipped = skipped
+            report.endpoints = self.compiled.endpoint_names
+            with obs.tracer.span("publish"):
+                report.published = self._publish(tables)
+            with obs.tracer.span("cubes.rebuild"):
+                cubes = self._build_cubes(tables)
+            # A full run refreshes everything: nothing stays "fresh".
+            self._fresh_outputs = set(skipped)
+            self._last_node_stats, self._last_stages = node_stats, stages
+            # Refresh state is anchored to the data a run loaded, so
+            # cursors and per-flow states reset (the next refresh cycle
+            # re-bootstraps them) and every endpoint version bumps.
+            self._reset_refresh_state()
+            self._install(
+                tables,
+                {
+                    endpoint: self._snapshot.version(endpoint) + 1
+                    for endpoint in self.compiled.endpoint_names
+                },
+                cubes,
+            )
+            report.trace_id = root.trace_id
         self.last_run = report
         return report
 
     # ------------------------------------------------------------------
     # delta refresh (incremental view maintenance)
     # ------------------------------------------------------------------
+    def snapshot(self) -> EndpointSnapshot:
+        """The installed snapshot; take it once per read."""
+        return self._snapshot
+
+    def _install(
+        self,
+        tables: dict[str, Table],
+        versions: Mapping[str, int],
+        cubes: Mapping[str, DataCube],
+    ) -> None:
+        limit = self.environment.max_payload_rows
+        endpoints = {
+            name: table.head(limit) if table.num_rows > limit else table
+            for name in self.compiled.endpoint_names
+            if (table := tables.get(name)) is not None
+        }
+        self._snapshot = EndpointSnapshot(tables, endpoints, versions, cubes)
+
     def endpoint_version(self, name: str) -> int:
         """Monotonic version of an endpoint's table (0 before any run).
 
         Bumped whenever the table's content may have changed — on every
         full run, and on refresh cycles whose deltas reached it.  The
-        server surfaces this as a response header and uses the bump as
-        the query-cache invalidation boundary.
+        server surfaces this as a response header.
         """
-        return self._endpoint_versions.get(name, 0)
-
-    def endpoint_versions(self) -> dict[str, int]:
-        return dict(self._endpoint_versions)
-
-    def _bump_version(self, name: str) -> None:
-        self._endpoint_versions[name] = (
-            self._endpoint_versions.get(name, 0) + 1
-        )
+        return self._snapshot.version(name)
 
     def _reset_refresh_state(self) -> None:
         self._delta_states.clear()
@@ -328,17 +363,21 @@ class Dashboard:
            those flows, so the fallback never spreads wider than it
            must), and ``fallback_reasons`` says why;
         3. endpoints whose tables changed get a version bump, changed
-           outputs republish, and widget cubes rebuild.
+           outputs republish, and widget cubes rebuild — all into a new
+           :class:`EndpointSnapshot`, installed in one swap at the end.
 
         The first refresh after a full run is a **bootstrap**: delta
         cursors don't exist yet, so sources reload fully and per-flow
-        states prime from complete inputs.  Outputs are byte-identical
-        to a full recompute in every mode — incremental maintenance is
-        a fast path, never a semantics change.
+        states prime from complete inputs.  A refresh that raises
+        installs nothing and drops the cursors and flow states it had
+        advanced, so the next cycle bootstraps again instead of skipping
+        rows no endpoint shows.  Outputs are byte-identical to a full
+        recompute in every mode — incremental maintenance is a fast
+        path, never a semantics change.
 
-        ``incremental=False`` recomputes everything (equivalent to
-        :meth:`run_flows`) but still reports through the refresh
-        surface, bumping versions only where tables were recomputed.
+        ``incremental=False`` drops the cursors and flow states first,
+        so the cycle is a bootstrap: every source is re-read whole and
+        every flow recomputed.
         """
         from time import perf_counter
 
@@ -351,21 +390,13 @@ class Dashboard:
             "dashboard.refresh", dashboard=self.name, mode=report.mode
         ) as root:
             if not incremental:
-                # A full refresh must re-read every source: drop the
-                # materialized source copies so the loader hits the
-                # connectors again instead of serving the last run's
-                # tables.
-                for source in self.compiled.dag.sources:
-                    self._materialized.pop(source, None)
-                self._prefetched = {}
-                run = self.run_flows()
-                report.flows_full = [
-                    flow.output for flow in self.compiled.dag.ordered_flows()
-                ]
-                report.endpoints_changed = list(run.endpoints)
-            else:
+                self._reset_refresh_state()
+            try:
                 self._refresh_incremental(report)
-            report.versions = self.endpoint_versions()
+            except BaseException:
+                self._reset_refresh_state()
+                raise
+            report.versions = dict(self._snapshot.versions)
             report.trace_id = root.trace_id
         report.seconds = perf_counter() - start
         self.last_refresh = report
@@ -380,10 +411,14 @@ class Dashboard:
 
         context = self._task_context()
         context.widget_selections = {}  # batch half is selection-free
+        snapshot = self._snapshot
+        # the next snapshot's tables, built beside the installed ones
+        tables = dict(snapshot.tables)
+        resolve = partial(self._resolve_source, tables=tables)
         deltas: dict[str, "Delta"] = {}
         with self.observability.tracer.span("refresh.sources"):
             for name in sorted(self.compiled.dag.sources):
-                deltas[name] = self._source_delta(name, report)
+                deltas[name] = self._source_delta(name, report, tables)
                 if deltas[name].kind == "append":
                     report.delta_rows += deltas[name].rows.num_rows
         reasons = report.fallback_reasons
@@ -399,7 +434,7 @@ class Dashboard:
                 reason = "upstream_recompute"
             elif (
                 all(d is not None and d.kind == "none" for d in input_deltas)
-                and output in self._materialized
+                and output in tables
             ):
                 deltas[output] = Delta("none")
                 report.flows_skipped.append(output)
@@ -419,36 +454,41 @@ class Dashboard:
                 input_deltas = [None] * len(flow.inputs)
             table, deltas[output] = state.advance(
                 [
-                    delta or Delta("full", self._resolve_source(name))
+                    delta or Delta("full", resolve(name))
                     for delta, name in zip(input_deltas, flow.inputs)
                 ],
                 context,
-                lambda: [self._resolve_source(i) for i in flow.inputs],
+                lambda: [resolve(i) for i in flow.inputs],
             )
-            self._materialized[output] = table
+            tables[output] = table
             if state.fallback is None:
                 report.flows_incremental.append(output)
             else:  # the join re-primed: full cost, though in place
                 reasons[output] = state.fallback
         if recompute:
-            self._refresh_recompute(sorted(recompute), context)
+            self._refresh_recompute(sorted(recompute), context, tables)
         report.flows_full = sorted(reasons)
         changed = {
             name
             for name, delta in deltas.items()
             if delta.kind != "none"
         } | recompute
+        if not changed:
+            return
+        versions = dict(snapshot.versions)
         for endpoint in self.compiled.endpoint_names:
             if endpoint in changed:
-                self._bump_version(endpoint)
+                versions[endpoint] = snapshot.version(endpoint) + 1
                 report.endpoints_changed.append(endpoint)
-        if changed:
-            with self.observability.tracer.span("publish"):
-                self._publish()
-            with self.observability.tracer.span("cubes.rebuild"):
-                self._rebuild_cubes()
+        with self.observability.tracer.span("publish"):
+            self._publish(tables)
+        with self.observability.tracer.span("cubes.rebuild"):
+            cubes = self._build_cubes(tables)
+        self._install(tables, versions, cubes)
 
-    def _source_delta(self, name: str, report: RefreshReport):
+    def _source_delta(
+        self, name: str, report: RefreshReport, tables: dict[str, Table]
+    ):
         """How one external source changed since the last cycle."""
         from repro.engine.incremental import Delta
 
@@ -456,12 +496,10 @@ class Dashboard:
             return self._watermark_delta(name, self._inline_tables[name])
         obj = self.flow_file.data.get(name)
         if obj is not None and obj.is_source:
-            config = dict(obj.config)
-            if self._data_dir and "base_dir" not in config:
-                config["base_dir"] = str(self._data_dir)
-            schema = obj.schema or Schema.of()
             load = self.loader.load_delta(
-                schema, config, self._delta_states.get(name)
+                obj.schema or Schema.of(),
+                self._located(obj.config),
+                self._delta_states.get(name),
             )
             self._delta_states[name] = load.state
             if load.mode == "none":
@@ -479,12 +517,12 @@ class Dashboard:
                 table = load.table
             # The run's own copy of the source is stale from here on: one
             # current table serves flows, endpoints and widgets alike.
-            self._source_tables[name] = self._materialized[name] = table
+            self._source_tables[name] = tables[name] = table
             return load_delta
         if self.catalog is not None and name in self.catalog:
             return self._watermark_delta(name, self.catalog.resolve(name))
         # Unresolvable here; flows using it recompute via the engine.
-        return Delta("full", self._resolve_source(name))
+        return Delta("full", self._resolve_source(name, tables))
 
     def _watermark_delta(self, name: str, table: Table):
         """Delta for an in-memory table, by identity + row count.
@@ -510,7 +548,10 @@ class Dashboard:
         return Delta("full", table)
 
     def _refresh_recompute(
-        self, outputs: list[str], context: TaskContext
+        self,
+        outputs: list[str],
+        context: TaskContext,
+        tables: dict[str, Table],
     ) -> None:
         """Recompute ``outputs`` through the real engine.
 
@@ -521,42 +562,20 @@ class Dashboard:
         exactly as a full run would execute it, which is what makes the
         fallback byte-identical by construction.
         """
-        from repro.compiler.dag import build_dag
-        from repro.dsl.ast_nodes import FlowFile
-        from repro.engine.local import LocalExecutor
-        from repro.engine.plan import build_logical_plan
-
         wanted = set(outputs)
-        stale = [
-            flow
-            for flow in self.flow_file.flows
-            if flow.output in wanted
-        ]
-        pruned = FlowFile(
-            name=self.flow_file.name,
-            data=self.flow_file.data,
-            tasks=self.flow_file.tasks,
-            flows=stale,
-            widgets={},
-            layout=None,
+        others = {flow.output for flow in self.flow_file.flows} - wanted
+        plan = self._pruned_plan(
+            wanted, others | set(self.compiled.dag.sources)
         )
-        external = (
-            {
-                flow.output
-                for flow in self.flow_file.flows
-                if flow.output not in wanted
-            }
-            | set(self.compiled.dag.sources)
-        )
-        dag = build_dag(pruned, external=external)
-        plan = build_logical_plan(dag, self.compiled.tasks)
         # Sources resolve to their delta-maintained tables (see
         # _source_delta): nothing is fetched again.
         obs = self.observability
         result = LocalExecutor(
-            self._resolve_source, tracer=obs.tracer, metrics=obs.metrics
+            partial(self._resolve_source, tables=tables),
+            tracer=obs.tracer,
+            metrics=obs.metrics,
         ).run(plan, context)
-        self._materialized.update(result.tables)
+        tables.update(result.tables)
 
     # ------------------------------------------------------------------
     # incremental recomputation (§4.5.3 fast feedback, §6 optimization)
@@ -574,54 +593,52 @@ class Dashboard:
 
         mine = flow_fingerprints(self.compiled)
         theirs = flow_fingerprints(previous.compiled)
-        adopted: list[str] = []
-        for output, fingerprint in mine.items():
-            if (
-                theirs.get(output) == fingerprint
-                and output in previous._materialized
-            ):
-                self._materialized[output] = previous._materialized[
-                    output
-                ]
-                adopted.append(output)
+        prior = previous.snapshot().tables
+        adopted = {
+            output: prior[output]
+            for output, fingerprint in mine.items()
+            if theirs.get(output) == fingerprint and output in prior
+        }
         self._fresh_outputs = set(adopted)
-        return adopted
+        snapshot = self._snapshot
+        self._install(
+            {**snapshot.tables, **adopted}, snapshot.versions, snapshot.cubes
+        )
+        return list(adopted)
 
     def _incremental_plan(self):
         """A plan covering only stale flows; fresh outputs act as
-        sources (their tables are served from ``_materialized``)."""
-        from repro.compiler.dag import build_dag
-        from repro.engine.plan import build_logical_plan
-        from repro.dsl.ast_nodes import FlowFile
+        sources (their tables are served from the snapshot)."""
+        from repro.engine.plan import LogicalPlan
 
         fresh = set(self._fresh_outputs)
-        stale_flows = [
-            flow
-            for flow in self.flow_file.flows
-            if flow.output not in fresh
-        ]
-        skipped = sorted(
-            flow.output
-            for flow in self.flow_file.flows
-            if flow.output in fresh
-        )
-        if not stale_flows:
-            from repro.engine.plan import LogicalPlan
-
+        outputs = {flow.output for flow in self.flow_file.flows}
+        skipped = sorted(outputs & fresh)
+        if not outputs - fresh:
             return LogicalPlan(), skipped
+        catalog_names = set(
+            self.catalog.names()
+        ) if self.catalog is not None else set()
+        plan = self._pruned_plan(outputs - fresh, fresh | catalog_names)
+        return plan, skipped
+
+    def _pruned_plan(self, outputs: set[str], external: set[str]):
+        """A plan over just the flows producing ``outputs``; the data
+        objects named in ``external`` act as sources."""
+        from repro.compiler.dag import build_dag
+        from repro.dsl.ast_nodes import FlowFile
+        from repro.engine.plan import build_logical_plan
+
         pruned = FlowFile(
             name=self.flow_file.name,
             data=self.flow_file.data,
             tasks=self.flow_file.tasks,
-            flows=stale_flows,
+            flows=[f for f in self.flow_file.flows if f.output in outputs],
             widgets={},
             layout=None,
         )
-        catalog_names = set(
-            self.catalog.names()
-        ) if self.catalog is not None else set()
-        dag = build_dag(pruned, external=fresh | catalog_names)
-        return build_logical_plan(dag, self.compiled.tasks), skipped
+        dag = build_dag(pruned, external=external)
+        return build_logical_plan(dag, self.compiled.tasks)
 
     def _task_context(self) -> TaskContext:
         return TaskContext(
@@ -633,66 +650,61 @@ class Dashboard:
     def _prefetch_sources(
         self,
         plan,
+        tables: dict[str, Table],
         parallelism: int,
-        executor: str = "threads",
-        pool: Any = None,
+        executor: str,
+        pool: Any,
     ) -> None:
         """Load the plan's loader-backed sources up front, concurrently.
 
         Collects the plan's load nodes in canonical (topological) order,
         keeps the ones :meth:`_resolve_source` would send through the
         loader, and loads them in one :meth:`DataObjectLoader.load_many`
-        call under a ``sources.load`` span.  The engines then hit the
-        prefetched snapshot instead of fetching mid-run.  Spec order is
-        canonical and ``load_many`` replays telemetry canonically, so
-        the trace and metrics are identical at every ``parallelism``.
+        call under a ``sources.load`` span, into the run's ``tables``.
+        The engines then hit the prefetched tables instead of fetching
+        mid-run.  Spec order is canonical and ``load_many`` replays
+        telemetry canonically, so the trace and metrics are identical at
+        every ``parallelism``.
         """
         names: list[str] = []
-        seen: set[str] = set()
+        specs = []
         for node in plan.topological_order():
-            if node.kind != "load" or node.load_name is None:
-                continue
             name = node.load_name
-            if name in seen:
+            if node.kind != "load" or name is None or name in names:
                 continue
-            seen.add(name)
-            if name in self._inline_tables or name in self._materialized:
+            if name in self._inline_tables or name in tables:
                 continue
             obj = self.flow_file.data.get(name)
             if obj is None or not obj.is_source:
                 continue  # catalog-resolved or unresolvable: stay lazy
             names.append(name)
+            specs.append(
+                (obj.schema or Schema.of(), self._located(obj.config))
+            )
         if not names:
             return
-        specs = []
-        for name in names:
-            obj = self.flow_file.data[name]
-            config = dict(obj.config)
-            if self._data_dir and "base_dir" not in config:
-                config["base_dir"] = str(self._data_dir)
-            specs.append((obj.schema or Schema.of(), config))
         with self.observability.tracer.span(
             "sources.load", sources=len(names)
         ):
-            tables = self.loader.load_many(
+            loaded = self.loader.load_many(
                 specs, parallelism, executor, pool=pool
             )
-        self._prefetched = dict(zip(names, tables))
+        tables.update(zip(names, loaded))
 
-    def _resolve_source(self, name: str) -> Table:
+    def _resolve_source(
+        self, name: str, tables: Mapping[str, Table] | None = None
+    ) -> Table:
+        if tables is None:  # the installed snapshot's
+            tables = self._snapshot.tables
         if name in self._inline_tables:
             return self._inline_tables[name]
-        if name in self._materialized:
-            return self._materialized[name]
-        if name in self._prefetched:
-            return self._prefetched[name]
+        if name in tables:
+            return tables[name]
         obj = self.flow_file.data.get(name)
         if obj is not None and obj.is_source:
-            config = dict(obj.config)
-            if self._data_dir and "base_dir" not in config:
-                config["base_dir"] = str(self._data_dir)
-            schema = obj.schema or Schema.of()
-            return self.loader.load(schema, config)
+            return self.loader.load(
+                obj.schema or Schema.of(), self._located(obj.config)
+            )
         if self.catalog is not None and name in self.catalog:
             return self.catalog.resolve(name)
         raise ExecutionError(
@@ -700,15 +712,15 @@ class Dashboard:
             f"{name!r} (no source config, no inline table, not published)"
         )
 
-    def _publish(self) -> list[str]:
+    def _publish(self, tables: dict[str, Table]) -> list[str]:
         published = []
         if self.catalog is None:
             return published
         for obj in self.flow_file.published():
-            table = self._materialized.get(obj.name)
+            table = tables.get(obj.name)
             if table is None and obj.is_source:
                 # A raw source (dimension table) can be published too.
-                table = self._resolve_source(obj.name)
+                table = self._resolve_source(obj.name, tables)
             if table is None:
                 continue
             assert obj.publish is not None
@@ -763,15 +775,21 @@ class Dashboard:
         return self.compiled.endpoint_names
 
     def endpoint(self, name: str) -> Table:
-        """Endpoint payload (capped per the environment profile)."""
-        if name not in set(self.compiled.endpoint_names):
+        """Endpoint payload (capped per the environment profile).
+
+        Served from the installed snapshot; a dashboard that has never
+        run resolves its sources on each call instead.
+        """
+        if name not in self.compiled.endpoint_names:
             raise ExecutionError(
                 f"data object {name!r} is not an endpoint of "
                 f"dashboard {self.name!r}"
             )
-        table = self._materialized.get(name)
-        if table is None:
-            table = self._resolve_source(name)
+        snapshot = self._snapshot
+        table = snapshot.endpoints.get(name)
+        if table is not None:
+            return table
+        table = self._resolve_source(name, snapshot.tables)
         limit = self.environment.max_payload_rows
         return table.head(limit) if table.num_rows > limit else table
 
@@ -788,14 +806,17 @@ class Dashboard:
                 "region_summary", {"source": "out.csv", "format": "csv"}
             )
         """
-        table = self.endpoint(name)
-        sink_config = dict(config)
-        if self._data_dir and "base_dir" not in sink_config:
-            sink_config["base_dir"] = str(self._data_dir)
-        self.loader.save(table, sink_config)
+        self.loader.save(self.endpoint(name), self._located(config))
+
+    def _located(self, config: Mapping[str, Any]) -> dict[str, Any]:
+        """``config`` with relative paths anchored at the data directory."""
+        config = dict(config)
+        if self._data_dir and "base_dir" not in config:
+            config["base_dir"] = str(self._data_dir)
+        return config
 
     def materialized(self, name: str) -> Table:
-        table = self._materialized.get(name)
+        table = self._snapshot.tables.get(name)
         if table is None:
             raise ExecutionError(
                 f"data object {name!r} has not been materialized; "
@@ -833,16 +854,16 @@ class Dashboard:
             if not widget.selection.is_empty()
         }
 
-    def _rebuild_cubes(self) -> None:
+    def _build_cubes(self, tables: dict[str, Table]) -> dict[str, DataCube]:
         """Materialize each widget's server-side pipeline into a cube.
 
         Widgets whose (source, server pipeline) coincide share one cube
         — the payload is computed and shipped once, not per widget (the
         §6 transfer minimization applied across widgets).
         """
-        self._cubes.clear()
         context = self._task_context()
         context.widget_selections = {}  # server side is selection-free
+        cubes: dict[str, DataCube] = {}
         shared: dict[tuple, DataCube] = {}
         for name, plan in self.compiled.widget_plans.items():
             if plan.is_static or plan.source_name is None:
@@ -853,7 +874,7 @@ class Dashboard:
             )
             cube = shared.get(key)
             if cube is None:
-                table = self._widget_base_table(plan)
+                table = self._resolve_source(plan.source_name, tables)
                 for task in plan.server_tasks:
                     table = task.apply([table], context)
                 limit = self.environment.max_payload_rows
@@ -861,13 +882,8 @@ class Dashboard:
                     table = table.head(limit)
                 cube = DataCube(f"{key[0]}|{'|'.join(key[1])}", table)
                 shared[key] = cube
-            self._cubes[name] = cube
-
-    def _widget_base_table(self, plan: WidgetPlan) -> Table:
-        assert plan.source_name is not None
-        if plan.source_name in self._materialized:
-            return self._materialized[plan.source_name]
-        return self._resolve_source(plan.source_name)
+            cubes[name] = cube
+        return cubes
 
     @property
     def transferred_bytes(self) -> int:
@@ -876,7 +892,7 @@ class Dashboard:
         Shared cubes (widgets with identical server pipelines) count
         once — that is the point of sharing them.
         """
-        distinct = {id(cube): cube for cube in self._cubes.values()}
+        distinct = {id(cube): cube for cube in self._snapshot.cubes.values()}
         return sum(cube.transferred_bytes for cube in distinct.values())
 
     def select(
@@ -912,26 +928,27 @@ class Dashboard:
             widget.clear_selection()
 
     def widget_view(self, name: str) -> WidgetView:
-        """Render one widget with the current interaction state."""
+        """Render one widget with the current interaction state, from
+        the installed snapshot's cube."""
+        return self._view(name, self._snapshot)
+
+    def _view(self, name: str, snapshot: EndpointSnapshot) -> WidgetView:
         widget = self.widget(name)
-        plan = self.compiled.widget_plans[name]
         if isinstance(widget, (LayoutWidget, TabLayout)):
-            return widget.render_composite(self.widget_view)
-        if plan.is_static:
-            return widget.render(None)
-        if plan.source_name is None:
-            return widget.render(None)
-        cube = self._cubes.get(name)
-        if cube is None:
-            self._rebuild_cubes()
-            cube = self._cubes.get(name)
-        if cube is None:
+            return widget.render_composite(
+                partial(self._view, snapshot=snapshot)
+            )
+        cube = snapshot.cubes.get(name)
+        if cube is None:  # static, sourceless, or not run yet
             return widget.render(None)
         obs = self.observability
         with obs.tracer.span(
             "cube.query", dashboard=self.name, widget=name
         ) as span:
-            table = cube.query(plan.client_tasks, self._selections())
+            table = cube.query(
+                self.compiled.widget_plans[name].client_tasks,
+                self._selections(),
+            )
             span.set(rows_out=table.num_rows)
         obs.metrics.counter(
             CUBE_QUERIES, "Datacube slices evaluated for widget views"
@@ -944,10 +961,11 @@ class Dashboard:
     def render(self) -> DashboardView:
         """Render the full dashboard (grid of widget views)."""
         views: dict[str, WidgetView] = {}
+        snapshot = self._snapshot
 
         def resolve(widget_name: str) -> WidgetView:
             if widget_name not in views:
-                views[widget_name] = self.widget_view(widget_name)
+                views[widget_name] = self._view(widget_name, snapshot)
             return views[widget_name]
 
         layout = self.flow_file.layout

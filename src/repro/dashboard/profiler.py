@@ -165,7 +165,7 @@ def build_meta_dashboard(platform, dashboard_name: str):
     first), creates ``<name>_meta`` on the platform, and returns it.
     """
     dashboard = platform.get_dashboard(dashboard_name)
-    materialized = dict(dashboard._materialized)
+    materialized = dict(dashboard.snapshot().tables)
     if not materialized:
         raise ValueError(
             f"dashboard {dashboard_name!r} has no materialized data; "

@@ -16,9 +16,10 @@ a context manager::
     with RefreshScheduler(platform, interval=30.0) as scheduler:
         ...  # endpoints stay warm while serving
 
-Consistency: version bumps and query-cache invalidation happen inside
-``refresh_dashboard`` (the platform notifies its refresh listeners), so
-a scheduler cycle is exactly as safe as a manual refresh.
+Consistency: each refresh installs its dashboard's new endpoint
+snapshot (rows, versions, cubes) in one swap inside
+``refresh_dashboard``, so a scheduler cycle is exactly as safe as a
+manual refresh.
 """
 
 from __future__ import annotations

@@ -90,11 +90,9 @@ class Platform:
         # creates/saves parallelize, with a re-check on insert.
         # ``_run_locks`` serialize runs per dashboard: two concurrent
         # POST .../run calls for one dashboard execute back to back
-        # instead of interleaving ``_materialized`` updates.
+        # instead of interleaving their refresh-state updates.
         self._lock = threading.RLock()
         self._run_locks: dict[str, threading.Lock] = {}
-        #: callbacks fired after every refresh: fn(dashboard_name, report)
-        self._refresh_listeners: list[Any] = []
         # The platform owns the warm process pool's lifecycle: the
         # serving tier preforks it at startup and reaps it on drain;
         # runs borrow it via ``run_dashboard(pool="auto"|"keep")``.
@@ -367,10 +365,8 @@ class Platform:
     ) -> RefreshReport:
         """Refresh a dashboard's flows at O(changed rows) cost.
 
-        Serializes with full runs under the same per-dashboard lock,
-        records ``repro_refresh_*`` metrics, and notifies registered
-        refresh listeners (the server uses one to invalidate its query
-        cache at each endpoint version boundary).
+        Serializes with full runs under the same per-dashboard lock and
+        records ``repro_refresh_*`` metrics.
         """
         from repro.observability.instruments import record_refresh
 
@@ -410,13 +406,7 @@ class Platform:
             },
             user,
         )
-        for listener in list(self._refresh_listeners):
-            listener(name, report)
         return report
-
-    def add_refresh_listener(self, listener: Any) -> None:
-        """Register ``fn(dashboard_name, report)`` to run post-refresh."""
-        self._refresh_listeners.append(listener)
 
     # ------------------------------------------------------------------
     # internals

@@ -14,8 +14,8 @@ REST layer maps to ``504`` with a structured body.  The check sits at
 stage *boundaries*, which is the partial-safety guarantee: a stage
 either finishes (its output is consistent and may be checkpointed) or
 was never started — no half-written table is ever published, because
-``Dashboard.run_flows`` only updates ``_materialized`` after the whole
-engine run returns.
+``Dashboard.run_flows`` only installs its endpoint snapshot after the
+whole engine run returns.
 """
 
 from __future__ import annotations

@@ -24,10 +24,12 @@ Routes (all relative to the server base path):
 Every request runs inside an ``http.request`` span and lands in the
 request counters/histograms (see ``docs/observability.md``).
 
-``/ds/`` reads carry an ``X-Endpoint-Version`` header (bumped when a
-run or refresh changes the endpoint's table) and accept
-``?refresh=incremental|full`` to pull new source rows before the read
-— see ``docs/incremental.md`` for the consistency contract.
+A ``/ds/`` read takes its dashboard's endpoint snapshot once, without
+a lock, and sends rows and the ``X-Endpoint-Version`` header (bumped
+when a run or refresh changes the endpoint's table) from it, so the
+two always agree; shed reads serve it marked ``degraded``/``shed``.
+``?refresh=incremental|full`` pulls new source rows before the read —
+see ``docs/incremental.md`` for the consistency contract.
 
 Every non-2xx response body carries one structured shape —
 ``{"error": {"type", "retryable", "detail", ...}}`` — so clients branch
@@ -71,14 +73,17 @@ class ShareInsightsApp:
     Engine and connector failures surface as *structured* error bodies
     (type, retryability, failing task/partition); endpoint reads keep a
     last-known-good copy per dataset and serve it with ``degraded: true``
-    when a recompute fails, so consumers see stale-but-usable data
-    instead of a hard 422.
+    when a dashboard cannot supply the endpoint (a save replaced it and
+    it has not run yet, or a restart restored checkpoints), so consumers
+    see stale-but-usable data instead of a hard 422.
     """
 
     def __init__(self, platform: Platform):
         self.platform = platform
         #: last successfully served endpoint tables, for degraded mode
         self._last_good: dict[tuple[str, str], Any] = {}
+        #: per (dashboard, dataset): the newest snapshot serial a read saw
+        self._serials: dict[tuple[str, str], int] = {}
         #: shared ad-hoc result cache, keyed by the planner's canonical
         #: query fingerprint and scoped per (dashboard, dataset)
         self.query_cache = QueryResultCache(
@@ -86,17 +91,6 @@ class ShareInsightsApp:
             metrics=platform.observability.metrics,
             name="server",
         )
-        # Version boundaries are the consistency contract: when a
-        # background refresh changes an endpoint, its cached query
-        # results and last-known-good copy must die with the old
-        # version so /ds/ never serves stale rows against a new one.
-        platform.add_refresh_listener(self._on_refresh)
-
-    def _on_refresh(self, name: str, report) -> None:
-        """Invalidate per-endpoint caches after a dashboard refresh."""
-        for endpoint in report.endpoints_changed:
-            self.query_cache.invalidate(scope_prefix=(name, endpoint))
-            self._last_good.pop((name, endpoint), None)
 
     # -- WSGI entry point --------------------------------------------------
     def __call__(
@@ -195,15 +189,12 @@ class ShareInsightsApp:
         if action == "create" and method == "POST":
             source = _read_body(environ)
             self.platform.create_dashboard(name, source)
-            self.query_cache.invalidate(scope_prefix=(name,))
             return _json({"created": name}, status="201 Created")
         if action == "save" and method == "POST":
             source = _read_body(environ)
             self.platform.save_dashboard(name, source)
-            self.query_cache.invalidate(scope_prefix=(name,))
             return _json({"saved": name})
         if action == "run" and method == "POST":
-            self.query_cache.invalidate(scope_prefix=(name,))
             raw_parallelism = query.get("parallelism", "1")
             try:
                 parallelism = int(raw_parallelism)
@@ -417,6 +408,13 @@ class ShareInsightsApp:
         dashboard = self.platform.get_dashboard(name)
         if not segments:
             return _json({"endpoints": dashboard.endpoint_names()})
+        try:
+            limit = int(query.get("limit", 1000))
+            offset = int(query.get("offset", 0))
+        except ValueError as exc:
+            raise QueryError(
+                f"limit and offset must be integers: {exc}"
+            ) from None
         # ``?refresh=`` pulls new source rows before the read:
         # incremental by default, ``full`` forces a complete re-run.
         if "refresh" in query:
@@ -441,32 +439,59 @@ class ShareInsightsApp:
         obs.metrics.counter(
             ENDPOINT_QUERIES, "Endpoint dataset reads and ad-hoc queries"
         ).inc(dashboard=name, dataset=adhoc.dataset)
+        # Shed mode only forbids the lazy resolve (a recompute or fetch
+        # for a dashboard that has not run); everything else is shared.
         shed = bool(environ and environ.get("repro.serving.shed"))
-        if shed:
-            return self._route_ds_shed(name, adhoc, query, obs)
-        cache_key = (name, adhoc.dataset)
-        degraded_error: str | None = None
-        try:
-            table = dashboard.endpoint(adhoc.dataset)
-            self._last_good[cache_key] = table
-        except ShareInsightsError as exc:
-            # Recompute/fetch failed: fall back to the last-known-good
-            # copy (marked degraded) rather than failing the read.
-            table = self._last_good.get(cache_key)
+        scope = (name, adhoc.dataset)
+        table = failure = None
+        if not shed:
+            try:
+                table = dashboard.endpoint(adhoc.dataset)
+            except ShareInsightsError as exc:
+                failure = exc
+        # Rows and version come from one snapshot, taken after
+        # endpoint() and so at least as new as the table it returned.
+        snapshot = dashboard.snapshot()
+        if failure is None:
+            table = snapshot.endpoints.get(adhoc.dataset, table)
+        degraded = shed or table is None
+        if table is None:
+            # Fall back to the last-known-good copy rather than failing.
+            table = self._last_good.get(scope)
             if table is None:
-                raise
-            degraded_error = str(exc)
+                if failure is not None:
+                    raise failure
+                return _error(
+                    503,
+                    f"server is shedding load and no cached copy of "
+                    f"{adhoc.dataset!r} exists; retry shortly",
+                    error_type="Overloaded",
+                    retryable=True,
+                    shed=True,
+                )
+        else:
+            self._last_good[scope] = table
+        if degraded:
             obs.metrics.counter(
                 DEGRADED_SERVES,
                 "Endpoint reads served from the last-known-good copy",
             ).inc(dashboard=name, dataset=adhoc.dataset)
-        scope = (name, adhoc.dataset)
+        if shed:
+            obs.metrics.counter(
+                SERVING_SHED_SERVES,
+                "Endpoint reads served from cache while shedding",
+            ).inc(dashboard=name, dataset=adhoc.dataset)
+        # The first read of a newer snapshot drops the scope's entries,
+        # so superseded tables do not stay pinned by the cache.
+        if snapshot.serial > self._serials.get(scope, -1):
+            self._serials[scope] = snapshot.serial
+            self.query_cache.invalidate(scope_prefix=scope)
         fingerprint = adhoc.fingerprint()
         with obs.tracer.span(
             "query.eval", dataset=adhoc.dataset, steps=len(adhoc.steps)
         ) as eval_span:
             # The entry pins the endpoint table object it was computed
-            # from, so a recomputed endpoint can never serve stale rows
+            # from, so a replaced endpoint can never serve stale rows
             # even if an invalidation was missed.
             cached = self.query_cache.get(scope, fingerprint, source=table)
             if cached is not None:
@@ -479,8 +504,6 @@ class ShareInsightsApp:
                     scope, fingerprint, table, source=source
                 )
             eval_span.set(rows_out=table.num_rows)
-        limit = int(query.get("limit", 1000))
-        offset = int(query.get("offset", 0))
         # Materialize only the requested page: slice the row window
         # first (list-slice semantics, negative offsets included), then
         # encode those rows straight from the columns — the full table
@@ -493,7 +516,7 @@ class ShareInsightsApp:
             {
                 "dataset": adhoc.dataset,
                 "steps": len(adhoc.steps),
-                "degraded": degraded_error is not None,
+                "degraded": degraded,
             },
         )
         head = json.dumps(
@@ -505,86 +528,16 @@ class ShareInsightsApp:
             default=str,
         )
         body = head[:-1] + ', "rows": ' + page.to_json_records()
-        if degraded_error is not None:
-            body += ', "degraded": true, "error": ' + json.dumps(
-                degraded_error
-            )
+        if shed:
+            body += ', "degraded": true, "shed": true'
+        elif failure is not None:
+            body += ', "degraded": true, "error": ' + json.dumps(str(failure))
         body += "}"
         # The version header lets clients detect refresh boundaries:
         # it bumps exactly when a run/refresh changes this endpoint.
-        headers = [(
-            "X-Endpoint-Version",
-            str(dashboard.endpoint_version(adhoc.dataset)),
-        )]
-        return "200 OK", "application/json", body.encode("utf-8"), headers
-
-    def _route_ds_shed(
-        self, name: str, adhoc, query: dict[str, str], obs
-    ) -> tuple[str, str, bytes] | tuple[
-        str, str, bytes, list[tuple[str, str]]
-    ]:
-        """Overload path: serve ``/ds/`` reads without any recompute.
-
-        Only already-materialized data is touched — the last-known-good
-        copy (or the dashboard's materialized table) plus the query
-        cache.  Responses are marked ``degraded: true`` (+ ``shed``)
-        per the resilience contract; with nothing cached the read is
-        shed with a structured 503 instead of queueing a recompute.
-        """
-        dashboard = self.platform.get_dashboard(name)
-        table = self._last_good.get((name, adhoc.dataset))
-        if table is None:
-            table = dashboard._materialized.get(adhoc.dataset)
-        if table is None:
-            return _error(
-                503,
-                f"server is shedding load and no cached copy of "
-                f"{adhoc.dataset!r} exists; retry shortly",
-                error_type="Overloaded",
-                retryable=True,
-                shed=True,
-            )
-        scope = (name, adhoc.dataset)
-        fingerprint = adhoc.fingerprint()
-        cached = self.query_cache.get(scope, fingerprint, source=table)
-        if cached is not None:
-            table_out = cached
-        else:
-            # Query evaluation over an in-memory table is columnar-
-            # kernel cheap; what shed mode avoids is the endpoint
-            # recompute/fetch, which never happens on this path.
-            table_out = adhoc.execute(table)
-            self.query_cache.put(
-                scope, fingerprint, table_out, source=table
-            )
-        obs.metrics.counter(
-            SERVING_SHED_SERVES,
-            "Endpoint reads served from cache while shedding",
-        ).inc(dashboard=name, dataset=adhoc.dataset)
-        obs.metrics.counter(
-            DEGRADED_SERVES,
-            "Endpoint reads served from the last-known-good copy",
-        ).inc(dashboard=name, dataset=adhoc.dataset)
-        limit = int(query.get("limit", 1000))
-        offset = int(query.get("offset", 0))
-        window = range(table_out.num_rows)[offset: offset + limit]
-        page = table_out.take(window)
-        head = json.dumps(
-            {
-                "dataset": adhoc.dataset,
-                "columns": table_out.schema.names,
-                "total_rows": table_out.num_rows,
-            },
-            default=str,
-        )
-        body = (
-            head[:-1] + ', "rows": ' + page.to_json_records()
-            + ', "degraded": true, "shed": true}'
-        )
-        headers = [(
-            "X-Endpoint-Version",
-            str(dashboard.endpoint_version(adhoc.dataset)),
-        )]
+        headers = [
+            ("X-Endpoint-Version", str(snapshot.version(adhoc.dataset)))
+        ]
         return "200 OK", "application/json", body.encode("utf-8"), headers
 
     # -- data explorer (Fig. 29) -----------------------------------------------
@@ -736,7 +689,7 @@ async function save() {{
         dashboard = self.platform.get_dashboard(name)
         target = query.get("ds")
         names = (
-            [target] if target else sorted(dashboard._materialized)
+            [target] if target else sorted(dashboard.snapshot().tables)
         )
         payload: dict[str, Any] = {}
         for object_name in names:

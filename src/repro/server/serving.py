@@ -523,7 +523,8 @@ class ServingTier:
                     shed=True,
                 )
             # /ds/ reads degrade instead of shedding: the app serves
-            # only from the query cache / last-known-good copies.
+            # the installed endpoint snapshot (or a last-known-good
+            # copy) and never resolves an endpoint lazily.
             environ["repro.serving.shed"] = True
 
         deadline = Deadline.after(

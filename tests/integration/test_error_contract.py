@@ -132,6 +132,22 @@ class TestAppContract:
         error = assert_contract(status, body, expected_code=400)
         assert error["type"] == "QueryError"
 
+    @pytest.mark.parametrize("query", ["limit=abc", "offset=1.5"])
+    def test_bad_page_bounds_are_a_400_query_error(self, client, query):
+        client("POST", "/dashboards/d/create", GOOD_FLOW.encode())
+        from repro.data import Schema, Table
+
+        client.platform.get_dashboard("d")._inline_tables["raw"] = (
+            Table.from_rows(Schema.of("a", "b"), [("x", 1)])
+        )
+        client("POST", "/dashboards/d/run")
+        status, _headers, body = client(
+            "GET", "/dashboards/d/ds/out", query=query
+        )
+        error = assert_contract(status, body, expected_code=400)
+        assert error["type"] == "QueryError"
+        assert query.split("=")[0] in error["detail"]
+
     def test_unhandled_exception_is_a_structured_500(self, client):
         client.platform.dashboard_names = None  # force a TypeError
         status, _headers, body = client("GET", "/dashboards")

@@ -114,7 +114,7 @@ def _tables_fingerprint(dashboard):
     # _data exposes column lists verbatim: row ORDER matters here.
     return {
         name: (table.schema.names, dict(table._data))
-        for name, table in dashboard._materialized.items()
+        for name, table in dashboard.snapshot().tables.items()
     }
 
 

@@ -504,7 +504,7 @@ class TestServerRefreshSurface:
             "/dashboards/ipl/ds/top/filter/team/eq/CSK",
             query="refresh=1",
         )
-        # No stale serve: the refresh listener invalidated the scope.
+        # No stale serve: the read took the refreshed snapshot.
         assert json.loads(body)["rows"] == [
             {"team": "CSK", "total": 190}
         ]
@@ -528,8 +528,8 @@ class TestServerRefreshSurface:
         assert "refresh" in error["detail"]
 
     def test_scheduler_cycle_invalidates_server_cache(self, client):
-        """The listener fires for scheduler cycles too, not just
-        explicit ``?refresh=`` requests."""
+        """Scheduler cycles publish like explicit ``?refresh=``
+        requests: the next read serves the new snapshot."""
         _s, _h, body = client(
             "GET", "/dashboards/ipl/ds/top/filter/team/eq/CSK"
         )
@@ -586,3 +586,136 @@ class TestDeterminismMatrix:
         assert sorted(map(repr, table.to_records())) == sorted(
             map(repr, reference.to_records())
         )
+
+
+# A two-flow dashboard whose second flow runs a user task: refreshes
+# recompute it through the engine after the first flow has advanced.
+TWO_FLOW = FLOW.replace(
+    "    top: [team, total]\n",
+    "    top: [team, total]\n    raw: [team, runs]\n",
+).replace(
+    "    D.top:\n        endpoint: true\n",
+    "    D.top:\n        endpoint: true\n"
+    "    D.raw: D.games | T.trip\n"
+    "    D.raw:\n        endpoint: true\n",
+) + "    trip:\n        type: tripwire_test\n"
+
+# A widget over the endpoint, so refreshes rebuild a cube.
+WIDGET_FLOW = FLOW + (
+    "W:\n"
+    "    bars:\n"
+    "        type: Bar\n"
+    "        source: D.top\n"
+    "        x: team\n"
+    "        y: total\n"
+)
+
+
+class TestOneSnapshot:
+    """Runs and refreshes publish rows, versions and cubes at once."""
+
+    def test_refresh_during_a_read_serves_the_rows_of_its_version(
+        self, client, monkeypatch
+    ):
+        client.platform.refresh_dashboard("ipl")  # bootstrap: version 2
+        dashboard = client.platform.get_dashboard("ipl")
+        rows = {2: dashboard.endpoint("top").to_records()}
+        cache_get = client.app.query_cache.get
+
+        def get_after_a_refresh(*args, **kwargs):
+            if len(rows) == 1:
+                append_games(client.tmp_path, [("KKR", 7)])
+                client.platform.refresh_dashboard("ipl")
+                rows[3] = dashboard.endpoint("top").to_records()
+            return cache_get(*args, **kwargs)
+
+        monkeypatch.setattr(client.app.query_cache, "get", get_after_a_refresh)
+        _s, headers, body = client("GET", "/dashboards/ipl/ds/top")
+        assert set(rows) == {2, 3}
+        version = int(headers["X-Endpoint-Version"])
+        assert json.loads(body)["rows"] == rows[version]
+
+    def test_failed_refresh_installs_nothing_and_loses_nothing(
+        self, tmp_path
+    ):
+        from repro.errors import ShareInsightsError, TaskExecutionError
+        from repro.tasks.base import Task
+        from repro.tasks.registry import default_task_registry
+
+        class Tripwire(Task):
+            type_name = "tripwire_test"
+            armed = True
+
+            def output_schema(self, input_schemas):
+                return input_schemas[0]
+
+            def apply(self, inputs, context):
+                if Tripwire.armed and "KKR" in inputs[0].column("team"):
+                    raise TaskExecutionError("tripwire")
+                return inputs[0]
+
+        tasks = default_task_registry()
+        tasks.register_type(Tripwire)
+        platform = Platform(tasks=tasks)
+        write_games(tmp_path, [("CSK", 120), ("MI", 98)])
+        platform.create_dashboard("ipl", TWO_FLOW, data_dir=str(tmp_path))
+        platform.run_dashboard("ipl")
+        platform.refresh_dashboard("ipl")  # bootstrap cycle
+        dashboard = platform.get_dashboard("ipl")
+        before = {
+            name: dashboard.endpoint(name).to_records()
+            for name in ("top", "raw")
+        }
+        versions = {n: dashboard.endpoint_version(n) for n in ("top", "raw")}
+
+        append_games(tmp_path, [("KKR", 7)])
+        with pytest.raises(ShareInsightsError, match="tripwire"):
+            platform.refresh_dashboard("ipl")
+        for name in ("top", "raw"):
+            assert dashboard.endpoint(name).to_records() == before[name]
+        for name, version in versions.items():
+            assert dashboard.endpoint_version(name) == version
+
+        Tripwire.armed = False
+        platform.refresh_dashboard("ipl")
+        assert dashboard.endpoint("top").to_records() == [
+            {"team": "CSK", "total": 120},
+            {"team": "MI", "total": 98},
+            {"team": "KKR", "total": 7},
+        ]
+        assert dashboard.endpoint("raw").column("team") == ["CSK", "MI", "KKR"]
+        for name, version in versions.items():
+            assert dashboard.endpoint_version(name) == version + 1
+
+    def test_gesture_during_a_refresh_serves_the_previous_cube(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.dashboard.dashboard as dashboard_module
+
+        write_games(tmp_path, [("CSK", 120), ("MI", 98)])
+        platform = make_platform(tmp_path, flow=WIDGET_FLOW)
+        dashboard = platform.get_dashboard("ipl")
+        previous = dashboard.widget_view("bars").payload
+        cube_type = dashboard_module.DataCube
+        seen = {"builds": 0, "gesture": None}
+
+        class GestureMidRefresh(cube_type):
+            """The first cube a refresh builds lets one gesture in."""
+
+            def __init__(self, *args, **kwargs):
+                seen["builds"] += 1
+                if seen["gesture"] is None:
+                    seen["gesture"] = "running"
+                    builds = seen["builds"]
+                    seen["gesture"] = dashboard.widget_view("bars").payload
+                    seen["gesture_builds"] = seen["builds"] - builds
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(dashboard_module, "DataCube", GestureMidRefresh)
+        append_games(tmp_path, [("KKR", 7)])
+        platform.refresh_dashboard("ipl")
+        assert seen["gesture"] == previous
+        assert seen["gesture_builds"] == 0
+        assert [bar["x"] for bar in dashboard.widget_view("bars").payload[
+            "bars"
+        ]] == ["CSK", "MI", "KKR"]

@@ -88,6 +88,24 @@ class TestSharedResultCache:
         assert json.loads(first) == json.loads(second)
         assert client.app.query_cache.stats.hits == 1
 
+    def test_repeated_query_on_a_capped_endpoint_hits(self, client):
+        from repro import EnvironmentProfile
+
+        raw = Table.from_rows(
+            Schema.of("project", "category", "stars"),
+            [(f"p{i}", f"c{i}", i) for i in range(2500)],
+        )
+        client.platform.create_dashboard(
+            "proj", FLOW, inline_tables={"raw": raw},
+            environment=EnvironmentProfile.mobile(),  # caps at 2 000 rows
+        )
+        client("POST", "/dashboards/proj/run")
+        _status, first = client("GET", QUERY)
+        _status, second = client("GET", QUERY)
+        assert json.loads(first) == json.loads(second)
+        assert json.loads(first)["total_rows"] == 2000
+        assert client.app.query_cache.stats.hits == 1
+
     def test_hits_visible_in_metrics_route(self, client):
         created(client)
         client("GET", QUERY)
@@ -115,7 +133,11 @@ class TestSharedResultCache:
         client("GET", QUERY)
         assert len(client.app.query_cache) == 1
         client("POST", "/dashboards/proj/run")
-        assert len(client.app.query_cache) == 0
+        # The first read of the run's snapshot drops the superseded
+        # entry and caches its own.
+        client("GET", QUERY)
+        assert len(client.app.query_cache) == 1
+        assert client.app.query_cache.stats.hits == 0
         invalidations = cache_series(
             client, "repro_query_cache_invalidations_total"
         )
@@ -126,6 +148,7 @@ class TestSharedResultCache:
 
         created(client)
         path = "/dashboards/proj/ds/counts/filter/projects/ge/1"
+        client("GET", path)  # the scope has seen the current snapshot
         # Plant a wrong result under the *exact* fingerprint the route
         # will compute, pinned to a table object that is not the
         # current endpoint — simulating a missed invalidation.

@@ -84,12 +84,13 @@ class TestCubeSharing:
         # T.pick is selection-dependent and therefore client-side, so
         # all three widgets have the same server pipeline (D.out, no
         # tasks) and share a single cube payload.
-        assert dashboard._cubes["chart"] is dashboard._cubes["chart_twin"]
-        assert dashboard._cubes["chart"] is dashboard._cubes["picker"]
+        cubes = dashboard.snapshot().cubes
+        assert cubes["chart"] is cubes["chart_twin"]
+        assert cubes["chart"] is cubes["picker"]
 
     def test_transferred_bytes_counts_shared_cube_once(self):
         dashboard = make()
-        distinct = {id(c): c for c in dashboard._cubes.values()}
+        distinct = {id(c): c for c in dashboard.snapshot().cubes.values()}
         assert len(distinct) == 1
         assert dashboard.transferred_bytes == next(
             iter(distinct.values())
@@ -158,7 +159,7 @@ class TestEnvironmentRepresentation:
         platform.run_dashboard("d")
         dashboard = platform.get_dashboard("d")
         cap = EnvironmentProfile.mobile().max_payload_rows
-        for cube in dashboard._cubes.values():
+        for cube in dashboard.snapshot().cubes.values():
             assert cube.table.num_rows <= cap
 
 
